@@ -130,6 +130,12 @@ def _parse_vector(text: str, flag: str) -> list[float]:
         raise UsageError(f"bad {flag} value {text!r}: expected comma-separated numbers")
 
 
+def _check_seeds(seeds: int) -> int:
+    if seeds < 2:
+        raise UsageError(f"--seeds must be at least 2 per axis, got {seeds}")
+    return seeds
+
+
 def _write_or_print(args, text: str):
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -247,7 +253,7 @@ def cmd_fixed_points(args) -> int:
     model = _load_model(args.model)
     params = _parse_params(args.params)
     fps = find_fixed_points(
-        model, params, box=_parse_box(args.box), seeds=args.seeds
+        model, params, box=_parse_box(args.box), seeds=_check_seeds(args.seeds)
     )
     lines = [f"{len(fps)} fixed point(s) found"]
     rows = [["#"] + list(model.xs) + ["residual", "denom_margin"]]
@@ -290,6 +296,7 @@ def _region_line(model, params):
 def cmd_classify(args) -> int:
     model = _load_model(args.model)
     params = _parse_params(args.params)
+    seeds = _check_seeds(args.seeds)
     tol = args.tol
     lines = []
     rows = [["#"] + list(model.xs) + ["verdict"]]
@@ -300,7 +307,7 @@ def cmd_classify(args) -> int:
         lines.append("classifying 1 supplied point")
     else:
         pairs = classify_all(
-            model, params, box=_parse_box(args.box), seeds=args.seeds, tol=tol
+            model, params, box=_parse_box(args.box), seeds=seeds, tol=tol
         )
         reports = [rep for _, rep in pairs]
         lines.append(f"{len(reports)} fixed point(s) found")
@@ -358,8 +365,10 @@ def cmd_simulate(args) -> int:
     y0 = _parse_vector(args.y0, "--y0") if args.y0 else [0.0] * n
     if len(x0) != n or len(y0) != n:
         raise UsageError(f"--x0/--y0 must have {n} components")
-    if args.dt <= 0 or args.t_end <= 0:
+    if not (args.dt > 0 and args.t_end > 0):  # also rejects nan
         raise UsageError("--dt and --t-end must be positive")
+    if args.dt > args.t_end:
+        raise UsageError("--dt must not exceed --t-end")
     if args.t_probe <= 0:
         raise UsageError("--t-probe must be positive")
     outdir = args.out or "."
@@ -480,13 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-points", help="locate fixed points")
     _add_common(p)
     p.add_argument("--box", default="", help="search box lo:hi[,lo:hi...]")
-    p.add_argument("--seeds", type=int, default=9, help="seed points per axis")
+    p.add_argument("--seeds", type=int, default=9, help="seed points per axis (at least 2)")
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("classify", help="classify fixed points")
     _add_common(p)
     p.add_argument("--box", default="", help="search box lo:hi[,lo:hi...]")
-    p.add_argument("--seeds", type=int, default=9, help="seed points per axis")
+    p.add_argument("--seeds", type=int, default=9, help="seed points per axis (at least 2)")
     p.add_argument("--point", default="", help="classify this point only")
     p.set_defaults(func=cmd_classify)
 

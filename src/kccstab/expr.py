@@ -626,14 +626,19 @@ def compile_callable(exprs: Sequence[Expr], argnames: Sequence[str]) -> Callable
     The generated function returns a tuple of floats (one per expression).
     Every free symbol must appear in `argnames`; constants are embedded as
     correctly rounded floats.  Division by zero raises ZeroDivisionError.
+    The generated source names the arguments by position (`_a0, _a1, ...`),
+    so any symbol name is safe, Python keywords included.  The arguments
+    may also be equal-length numpy arrays, evaluated elementwise; an entry
+    that does not depend on them comes back as a scalar.
     """
-    known = set(argnames)
+    slots = {name: f"_a{i}" for i, name in enumerate(argnames)}
     for e in exprs:
-        missing = collect_symbols(e) - known
+        missing = collect_symbols(e) - slots.keys()
         if missing:
             raise UnboundSymbolError(sorted(missing)[0])
-    body = ", ".join(_pysrc(e) for e in exprs)
-    src = f"def _compiled({', '.join(argnames)}):\n    return ({body},)\n"
+    body = ", ".join(_pysrc(e, slots) for e in exprs)
+    signature = ", ".join(f"_a{i}" for i in range(len(argnames)))
+    src = f"def _compiled({signature}):\n    return ({body},)\n"
     ns: dict = {}
     exec(compile(src, "<kccstab-compiled>", "exec"), ns)
     fn = ns["_compiled"]
@@ -641,19 +646,19 @@ def compile_callable(exprs: Sequence[Expr], argnames: Sequence[str]) -> Callable
     return fn
 
 
-def _pysrc(e: Expr) -> str:
+def _pysrc(e: Expr, slots: Mapping[str, str]) -> str:
     if isinstance(e, Constant):
         return repr(float(e.value))
     if isinstance(e, Symbol):
-        return e.name
+        return slots[e.name]
     if isinstance(e, Add):
-        return "(" + " + ".join(_pysrc(a) for a in e.args) + ")"
+        return "(" + " + ".join(_pysrc(a, slots) for a in e.args) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(_pysrc(a) for a in e.args) + ")"
+        return "(" + "*".join(_pysrc(a, slots) for a in e.args) + ")"
     if isinstance(e, Pow):
-        return f"{_pysrc(e.base)}**{e.exp}"
+        return f"{_pysrc(e.base, slots)}**{e.exp}"
     if isinstance(e, Div):
-        return f"({_pysrc(e.num)}/{_pysrc(e.den)})"
+        return f"({_pysrc(e.num, slots)}/{_pysrc(e.den, slots)})"
     raise TypeError(type(e))  # pragma: no cover
 
 

@@ -15,15 +15,17 @@ symbolic computation on expression trees.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .expr import (
     Expr,
     Symbol,
+    ZeroDenominatorError,
     add,
     as_expr,
     canonicalize,
     collect_symbols,
+    compile_callable,
     differentiate,
     div,
     mul,
@@ -47,10 +49,11 @@ class Model:
     `xs` are the position variable names; velocity symbols are always
     y1..yn, one per position, in order.  `G` holds the n standard-form
     coefficient expressions.  `defaults` maps parameter names to exact
-    rational default values (may cover only part of `params`).
+    rational default values (may cover only part of `params`).  The data
+    derived from G is built on first use and kept in `compiled`.
     """
 
-    __slots__ = ("name", "xs", "ys", "params", "defaults", "G")
+    __slots__ = ("name", "xs", "ys", "params", "defaults", "G", "_compiled")
 
     def __init__(
         self,
@@ -67,10 +70,18 @@ class Model:
         self.defaults = {k: Fraction(v) for k, v in (defaults or {}).items()}
         self.G = tuple(as_expr(g) for g in G)
         self._validate()
+        self._compiled = None
 
     @property
     def n(self) -> int:
         return len(self.xs)
+
+    @property
+    def compiled(self) -> "CompiledModel":
+        """The invariants and compiled evaluators of this model, built once."""
+        if self._compiled is None:
+            self._compiled = CompiledModel(self)
+        return self._compiled
 
     def _validate(self):
         if not self.xs:
@@ -236,6 +247,7 @@ class KccInvariants:
 
 
 def invariants(model: Model) -> KccInvariants:
+    """Derive the invariants afresh; `model.compiled.invariants` keeps one copy."""
     return KccInvariants(model)
 
 
@@ -263,22 +275,18 @@ class DeviationSystem:
     """Linearized trajectory-deviation dynamics xi'' = A21 xi + A22 xi'.
 
     A21 = -2 dG/dx and A22 = -2 N, both n x n symbolic matrices; `block`
-    is the 2n x 2n first-order form [[0, E], [A21, A22]].
+    is the 2n x 2n first-order form [[0, E], [A21, A22]].  The blocks, and
+    the compiled function `at_point` evaluates, are derived once per model
+    and kept in `model.compiled`; A22 reuses the invariants' N.
     """
 
     __slots__ = ("model", "A21", "A22")
 
     def __init__(self, model: Model):
         self.model = model
-        n = model.n
-        inv_N = [
-            [differentiate(model.G[i], model.ys[j]) for j in range(n)] for i in range(n)
-        ]
-        self.A21 = [
-            [mul(-2, differentiate(model.G[i], model.xs[j])) for j in range(n)]
-            for i in range(n)
-        ]
-        self.A22 = [[mul(-2, inv_N[i][j]) for j in range(n)] for i in range(n)]
+        A21, A22 = model.compiled.deviation_blocks
+        self.A21 = [list(row) for row in A21]
+        self.A22 = [list(row) for row in A22]
 
     @property
     def n(self) -> int:
@@ -312,22 +320,115 @@ class DeviationSystem:
         velocities: Sequence[float] | None = None,
     ) -> tuple[list[list[float]], list[list[float]]]:
         """Evaluate (A21, A22) numerically at a state (default velocities 0)."""
-        from .expr import evaluate
-
         n = self.n
-        if len(point) != n:
-            raise ModelError(f"point has {len(point)} coordinates, expected {n}")
-        vel = [0.0] * n if velocities is None else list(velocities)
-        bind = dict(self.model.binding(params))
-        bind.update({self.model.xs[i]: float(point[i]) for i in range(n)})
-        bind.update({self.model.ys[i]: float(vel[i]) for i in range(n)})
-        a21 = [[float(evaluate(self.A21[i][j], bind)) for j in range(n)] for i in range(n)]
-        a22 = [[float(evaluate(self.A22[i][j], bind)) for j in range(n)] for i in range(n)]
+        compiled = self.model.compiled
+        vals = compiled.call(
+            compiled.deviation, compiled.parameter_values(params), point, velocities
+        )
+        a21 = [list(vals[i * n:(i + 1) * n]) for i in range(n)]
+        a22 = [list(vals[(n + i) * n:(n + i + 1) * n]) for i in range(n)]
         return a21, a22
 
 
 def kcc_deviation(model: Model) -> DeviationSystem:
     return DeviationSystem(model)
+
+
+# --------------------------------------------------------------------------
+# derived data kept per model
+
+
+class CompiledModel:
+    """Symbolic data of one model, derived once, and its compiled evaluators.
+
+    `Model.compiled` builds this on first use and keeps it on the model, so
+    however many parameter points are analysed, the invariants are derived
+    once and each evaluator is compiled once; each part is built when first
+    asked for.  The evaluators take the positions, the velocities and the
+    parameter values as float arguments in the order `xs + ys + params`
+    (see `call`) and return the matrix entries as one flat row-major tuple:
+
+    invariants        the KccInvariants of the model
+    deviation_blocks  symbolic (A21, A22) = (-2 dG/dx, -2 N)
+    curvature         P, n*n entries
+    deviation         A21 then A22, 2*n*n entries
+
+    Parameter values never enter this data: exact work at a parameter point
+    (substituting the values, canonical forms) stays with its caller.
+    """
+
+    __slots__ = ("model", "_invariants", "_blocks", "_curvature", "_deviation")
+
+    def __init__(self, model: Model):
+        self.model = model
+        self._invariants = None
+        self._blocks = None
+        self._curvature = None
+        self._deviation = None
+
+    @property
+    def invariants(self) -> KccInvariants:
+        if self._invariants is None:
+            self._invariants = invariants(self.model)
+        return self._invariants
+
+    @property
+    def deviation_blocks(self) -> tuple[list[list[Expr]], list[list[Expr]]]:
+        if self._blocks is None:
+            m, N = self.model, self.invariants.N
+            rng = range(m.n)
+            A21 = [[mul(-2, differentiate(m.G[i], m.xs[j])) for j in rng] for i in rng]
+            A22 = [[mul(-2, N[i][j]) for j in rng] for i in rng]
+            self._blocks = (A21, A22)
+        return self._blocks
+
+    @property
+    def curvature(self) -> Callable:
+        if self._curvature is None:
+            self._curvature = self._compile(self.invariants.P)
+        return self._curvature
+
+    @property
+    def deviation(self) -> Callable:
+        if self._deviation is None:
+            self._deviation = self._compile(*self.deviation_blocks)
+        return self._deviation
+
+    def _compile(self, *matrices) -> Callable:
+        m = self.model
+        entries = [e for M in matrices for row in M for e in row]
+        return compile_callable(entries, m.xs + m.ys + m.params)
+
+    def parameter_values(
+        self, params: Mapping[str, Fraction | float] | None
+    ) -> tuple[float, ...]:
+        """Resolved parameter values (see Model.binding) as evaluator arguments."""
+        bind = self.model.binding(params)
+        return tuple(float(bind[p]) for p in self.model.params)
+
+    def call(
+        self,
+        fn: Callable,
+        param_values: Sequence[float],
+        point: Sequence[float],
+        velocities: Sequence[float] | None = None,
+    ) -> tuple[float, ...]:
+        """Run an evaluator at one state (default velocities 0).
+
+        A zero denominator raises ZeroDenominatorError, as exact evaluation
+        does.
+        """
+        n = self.model.n
+        vel = [0.0] * n if velocities is None else velocities
+        if len(point) != n:
+            raise ModelError(f"point has {len(point)} coordinates, expected {n}")
+        if len(vel) != n:
+            raise ModelError(f"{len(vel)} velocities given, expected {n}")
+        args = [float(c) for c in point] + [float(v) for v in vel]
+        try:
+            return fn(*args, *param_values)
+        except ZeroDivisionError:
+            raise ZeroDenominatorError(detail=f"at state {tuple(args)}") from None
 
 
 # --------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .expr import (
     parse,
     substitute,
 )
-from .kcc import KccInvariants, Model, ModelError, invariants
+from .kcc import Model, ModelError
 
 DEFAULT_BOX_HALFWIDTH = 10.0
 DEFAULT_SEEDS_PER_AXIS = 9
@@ -215,11 +215,23 @@ def find_fixed_points(
 ) -> list[FixedPoint]:
     """All fixed points (y = 0, G(x, 0) = 0) found in the box, sorted.
 
-    Newton iteration runs on the cleared numerators from a uniform seed grid.
-    Converged candidates are kept only if every canonical G_i denominator
-    stays above `denom_margin` in magnitude and the true residual
+    Newton iteration runs on the cleared numerators from a uniform seed grid,
+    one iteration at a time over every seed still iterating: the compiled
+    numerators and Jacobian are evaluated on arrays and the steps come from
+    one stacked solve.  Only in an iteration where that solve meets a
+    singular Jacobian are the steps solved seed by seed, so a singular seed
+    fails alone.  A seed fails on a non-finite value, a singular Jacobian or
+    leaving the escape radius, and converges when its step is below 1e-12
+    relative.  Converged candidates are kept only if every canonical G_i
+    denominator stays above `denom_margin` in magnitude and the true residual
     max_i |G_i| is below residual_scale * (1 + |x|).  Duplicates within
-    `dedup_radius` (max-norm) collapse; results sort lexicographically.
+    `dedup_radius` (max-norm) collapse, earlier seeds first; results sort
+    lexicographically.
+
+    The numerators and denominators are exact per parameter point: the
+    parameter values are substituted and G at y = 0 canonicalized for each
+    call, and `FixedPoint.residual`/`denom_margin` are measured on those
+    canonical forms.
     """
     n = model.n
     bounds = _normalize_box(box, n)
@@ -232,55 +244,66 @@ def find_fixed_points(
     span = max(hi - lo for lo, hi in bounds)
     escape = 10.0 * span + 100.0
     axes = [np.linspace(lo, hi, seeds) for lo, hi in bounds]
-    found: list[tuple[float, ...]] = []
-    for seed in itertools.product(*axes):
-        x = np.array(seed, dtype=float)
-        converged = False
+    X = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, n)
+    converged = np.zeros(len(X), dtype=bool)
+    active = np.arange(len(X))
+    with np.errstate(all="ignore"):
         for _ in range(max_iter):
-            F = np.array(f_num(*x))
-            J = np.array(f_jac(*x)).reshape(n, n)
-            if not (np.all(np.isfinite(F)) and np.all(np.isfinite(J))):
+            if not len(active):
                 break
-            try:
-                dx = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                break
-            x = x + dx
-            if np.max(np.abs(x)) > escape:
-                break
-            if np.max(np.abs(dx)) <= 1e-12 * (1.0 + np.max(np.abs(x))):
-                converged = True
-                break
-        if not converged:
-            continue
-        if not all(bounds[i][0] - 1e-9 <= x[i] <= bounds[i][1] + 1e-9 for i in range(n)):
-            continue
-        dvals = f_den(*x)
-        dmin = min(abs(d) for d in dvals)
-        if not (dmin > denom_margin):
-            continue
-        fvals = f_num(*x)
-        resid = max(abs(fv / dv) for fv, dv in zip(fvals, dvals))
-        if not (resid <= residual_scale * (1.0 + np.max(np.abs(x)))):
-            continue
-        pt = tuple(float(c) for c in x)
-        if any(max(abs(a - b) for a, b in zip(pt, q)) <= dedup_radius for q in found):
-            continue
-        found.append(pt)
+            x = X[active]
+            F = _on_rows(f_num, x)
+            J = _on_rows(f_jac, x).reshape(-1, n, n)
+            ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+            dx, solved = _newton_steps(J[ok], -F[ok])
+            active, x = active[ok][solved], x[ok][solved] + dx[solved]
+            X[active] = x
+            size = np.abs(x).max(axis=1)
+            escaped = size > escape
+            done = ~escaped & (np.abs(dx[solved]).max(axis=1) <= 1e-12 * (1.0 + size))
+            converged[active[done]] = True
+            active = active[~escaped & ~done]
 
-    found.sort()
-    out = []
-    for pt in found:
-        dvals = f_den(*pt)
-        fvals = f_num(*pt)
-        out.append(
-            FixedPoint(
-                point=pt,
-                residual=max(abs(fv / dv) for fv, dv in zip(fvals, dvals)),
-                denom_margin=min(abs(d) for d in dvals),
-            )
-        )
+        x = X[converged]
+        lo, hi = np.array(bounds).T
+        keep = ((x >= lo - 1e-9) & (x <= hi + 1e-9)).all(axis=1)
+        dvals = _on_rows(f_den, x)
+        margin = np.abs(dvals).min(axis=1)
+        keep &= margin > denom_margin
+        resid = np.abs(_on_rows(f_num, x) / dvals).max(axis=1)
+        keep &= resid <= residual_scale * (1.0 + np.abs(x).max(axis=1))
+
+    found: list[FixedPoint] = []
+    for row, r, d in zip(x[keep], resid[keep], margin[keep]):
+        pt = tuple(float(c) for c in row)
+        if any(max(abs(a - b) for a, b in zip(pt, q.point)) <= dedup_radius for q in found):
+            continue
+        found.append(FixedPoint(point=pt, residual=float(r), denom_margin=float(d)))
+    return sorted(found, key=lambda fp: fp.point)
+
+
+def _on_rows(fn, x: np.ndarray) -> np.ndarray:
+    """A compiled callable at every row of x: one column per returned entry."""
+    vals = fn(*x.T)
+    out = np.empty((len(x), len(vals)))
+    for j, v in enumerate(vals):
+        out[:, j] = v
     return out
+
+
+def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the stack J dx = rhs; returns dx and the mask of solvable rows."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), dtype=bool)
+    except np.linalg.LinAlgError:
+        dx = np.zeros_like(rhs)
+        solved = np.ones(len(J), dtype=bool)
+        for k in range(len(J)):
+            try:
+                dx[k] = np.linalg.solve(J[k], rhs[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return dx, solved
 
 
 # --------------------------------------------------------------------------
@@ -305,24 +328,23 @@ class StabilityReport:
 
 
 class Classifier:
-    """Evaluates the deviation curvature P at points of one parametrized model."""
+    """Evaluates the deviation curvature P at points of one parametrized model.
+
+    P is derived and compiled once per model, with the parameters as
+    arguments, and kept in `model.compiled`; a Classifier only resolves the
+    parameter values to floats, so building one per parameter point does no
+    symbolic work.
+    """
 
     def __init__(self, model: Model, params: Mapping[str, Fraction | float] | None = None):
         self.model = model
-        bind = model.binding(params)
-        inv = invariants(model)
-        self._P = [[substitute(e, bind) for e in row] for row in inv.P]
+        self._params = model.compiled.parameter_values(params)
 
     def curvature_at(self, point: Sequence[float], velocities: Sequence[float] | None = None) -> np.ndarray:
+        compiled = self.model.compiled
+        vals = compiled.call(compiled.curvature, self._params, point, velocities)
         n = self.model.n
-        if len(point) != n:
-            raise ModelError(f"point has {len(point)} coordinates, expected {n}")
-        vel = [0.0] * n if velocities is None else list(velocities)
-        bind = {self.model.xs[i]: float(point[i]) for i in range(n)}
-        bind.update({self.model.ys[i]: float(vel[i]) for i in range(n)})
-        return np.array(
-            [[float(evaluate(e, bind)) for e in row] for row in self._P], dtype=float
-        )
+        return np.array(vals, dtype=float).reshape(n, n)
 
     def classify(self, point: Sequence[float], tol: float = DEFAULT_TOL) -> StabilityReport:
         P = self.curvature_at(point)
@@ -500,7 +522,7 @@ def assemble_semialgebraic(
     if not inequations:
         inequations.append(p_const(1, len(order)))
 
-    inv = invariants(model)
+    inv = model.compiled.invariants
     P0 = [
         [canonicalize(substitute(e, zeros), order) for e in row] for row in inv.P
     ]

@@ -206,6 +206,57 @@ def test_simulate_rejects_nonpositive_steps(capsys):
     assert rc == 1 and "positive" in err
     rc, _, err = run(capsys, ["simulate", *WS, "--x0", "2,1", "--t-end", "-1"])
     assert rc == 1 and "positive" in err
+    rc, _, err = run(capsys, ["simulate", *WS, "--x0", "2,1", "--dt", "nan"])
+    assert rc == 1 and "positive" in err
+
+
+def test_simulate_rejects_step_beyond_end(capsys, tmp_path):
+    rc, out, err = run(
+        capsys,
+        ["simulate", *AIRFOIL_1, "--x0", "0.1,0.1", "--t-end", "0.0005",
+         "--dt", "0.001", "--out", str(tmp_path)],
+    )
+    assert rc == 1 and "--dt" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fixed-points", "classify"])
+@pytest.mark.parametrize("seeds", ["0", "1", "-3"])
+def test_seed_grid_below_two_is_usage_error(capsys, command, seeds):
+    rc, out, err = run(capsys, [command, *AIRFOIL_1, "--seeds", seeds])
+    assert rc == 1
+    assert "--seeds" in err and out == ""
+
+
+KEYWORD_MODEL = """model kw
+params {p}=2
+vars {x} x2
+G1 = ({x}^2 - {p} + {x}*y2)/(1 + x2^2)
+G2 = x2^3 - {p}*x2 + {x}*y1/4
+"""
+
+
+def test_python_keywords_as_model_names(capsys, tmp_path):
+    # Symbol names reach generated code only as positional slots.
+    results = []
+    for x, p in (("lambda", "in"), ("u", "k")):
+        path = tmp_path / f"{x}.kcc"
+        path.write_text(KEYWORD_MODEL.format(x=x, p=p))
+        common = ["--model", str(path), "--params", f"{p}=3", "--format", "json"]
+        outs = []
+        for argv in (["fixed-points", *common], ["classify", *common],
+                     ["deviation", *common, "--point", "1.5,-0.5"]):
+            rc, out, err = run(capsys, argv)
+            assert rc == 0, err
+            obj = json.loads(out)
+            outs.append({k: v for k, v in obj.items() if k not in ("A21", "A22", "equations")})
+        results.append(outs)
+    assert results[0] == results[1]
+    fixed, classified, _ = results[0]
+    assert fixed["count"] == 6
+    assert [r["verdict"] for r in classified["reports"]] == [
+        "Unstable", "Unstable", "Unstable", "Stable", "Unstable", "Stable"
+    ]
 
 
 def test_simulate_singular_start_exit(capsys):

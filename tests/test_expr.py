@@ -278,6 +278,11 @@ def test_compile_callable_matches_evaluate():
         vals = fn(px, py)
         ref = [float(evaluate(e, {"x": px, "y": py})) for e in exprs]
         assert np.allclose(vals, ref, rtol=1e-13)
+    # numpy arrays evaluate elementwise
+    px, py = rng.uniform(0.3, 2.0, size=(2, 25))
+    for got, e in zip(fn(px, py), exprs):
+        ref = [float(evaluate(e, {"x": a, "y": b})) for a, b in zip(px, py)]
+        assert np.allclose(got, ref, rtol=1e-13)
 
 
 def test_compiled_division_by_zero_raises():

@@ -1,16 +1,33 @@
 """Fixed-point search, Routh-Hurwitz classification, semialgebraic assembly."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kccstab.expr import BudgetExceededError, p_eval, parse, semantic_equal
-from kccstab.models import TRACTOR_SEAT_CASES, builtin
+from kccstab import kcc
+from kccstab.expr import (
+    Add,
+    BudgetExceededError,
+    Constant,
+    Mul,
+    Pow,
+    Symbol,
+    evaluate,
+    p_eval,
+    parse,
+    semantic_equal,
+)
+from kccstab.kcc import invariants, kcc_deviation
+from kccstab.models import BUILTIN_NAMES, TRACTOR_SEAT_CASES, builtin, loads
 from kccstab.stability import (
     INDETERMINATE,
     STABLE,
     UNSTABLE,
+    Classifier,
     airfoil_region_conditions,
     assemble_semialgebraic,
     char_poly,
@@ -191,6 +208,112 @@ def test_tractor_seat_origin_only():
         fps = find_fixed_points(tr, case, box=(-10, 10), seeds=5)
         assert len(fps) == 1
         assert max(abs(c) for c in fps[0].point) < 1e-9
+
+
+def test_singular_seeds_fail_alone():
+    # The 9-point grid on [-10, 10] holds x1 = 0, where the Jacobian
+    # diag(2 x1, 3 x2^2 - 1) is singular: those seeds fail, the rest converge.
+    m = loads("model sing\nvars x1 x2\nG1 = x1^2 - 1\nG2 = x2^3 - x2\n")
+    pairs = classify_all(m, seeds=9)
+    expect = [
+        ((-1, -1), UNSTABLE), ((-1, 0), UNSTABLE), ((-1, 1), UNSTABLE),
+        ((1, -1), STABLE), ((1, 0), UNSTABLE), ((1, 1), STABLE),
+    ]
+    assert len(pairs) == len(expect)
+    for (fp, rep), (point, verdict) in zip(pairs, expect):
+        assert max(abs(c - w) for c, w in zip(fp.point, point)) < 1e-12
+        assert rep.verdict == verdict
+
+
+# ---------------------------------------------------------------------------
+# per-model compiled data
+
+CHAIN2 = """model chain2
+params k q b c
+vars x1 x2
+G1 = (k*x1 + q*(2*x1 - x2) - b*x1^3 + c*y1)/(2*(1 + x1^2))
+G2 = (k*x2 + q*(2*x2 - x1) - b*x2^3 + c*y2)/(2*(1 + x2^2))
+"""
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    models = {name: builtin(name) for name in BUILTIN_NAMES}
+    models["chain2"] = loads(CHAIN2)
+    return models
+
+
+def _magnitude(e, vals):
+    """|e| with every sum replaced by the sum of its terms' magnitudes.
+
+    Float evaluation rounds each term relative to its own size, so this is
+    the scale its error is relative to; it equals |e| unless an entry is a
+    difference of larger terms.  The test models' denominators are sums of
+    positive terms or products, so their exact values set the scale there.
+    """
+    if isinstance(e, Constant):
+        return abs(e.value)
+    if isinstance(e, Symbol):
+        return abs(vals[e.name])
+    if isinstance(e, Add):
+        return sum(_magnitude(a, vals) for a in e.args)
+    if isinstance(e, Mul):
+        return math.prod(_magnitude(a, vals) for a in e.args)
+    if isinstance(e, Pow):
+        if e.exp < 0:
+            return abs(evaluate(e.base, vals)) ** e.exp
+        return _magnitude(e.base, vals) ** e.exp
+    return _magnitude(e.num, vals) / abs(evaluate(e.den, vals))
+
+
+def _close(got, e, vals):
+    return abs(got - float(evaluate(e, vals))) <= 1e-12 * _magnitude(e, vals)
+
+
+# Positions |x| in [1/4, 4] and positive parameters in [1/4, 4] keep every
+# denominator of the models away from zero.  Positions and velocities are
+# dyadic, so the floats passed in equal the exact values.
+_position = st.builds(lambda k, s: s * k / 64, st.integers(16, 256), st.sampled_from((-1, 1)))
+_velocity = st.integers(-128, 128).map(lambda k: k / 64)
+_param = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=97)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_compiled_matrices_match_exact_evaluation(oracle_models, data):
+    name = data.draw(st.sampled_from(sorted(oracle_models)))
+    m = oracle_models[name]
+    params = {p: data.draw(_param) for p in m.params}
+    x = [data.draw(_position) for _ in range(m.n)]
+    y = [data.draw(_velocity) for _ in range(m.n)]
+    exact = {**params, **{s: Fraction(v) for s, v in zip(m.xs + m.ys, x + y)}}
+    P = Classifier(m, params).curvature_at(x, y)
+    for i, row in enumerate(invariants(m).P):
+        for j, e in enumerate(row):
+            assert _close(P[i][j], e, exact), (name, i, j)
+    dev = kcc_deviation(m)
+    for got, sym in zip(dev.at_point(params, x, y), (dev.A21, dev.A22)):
+        for i in range(m.n):
+            for j in range(m.n):
+                assert _close(got[i][j], sym[i][j], exact), (name, i, j)
+
+
+def test_model_derives_and_compiles_once(monkeypatch):
+    built, compiled = [], []
+    real_invariants, real_compile = kcc.invariants, kcc.compile_callable
+    monkeypatch.setattr(kcc, "invariants", lambda m: built.append(m) or real_invariants(m))
+    monkeypatch.setattr(
+        kcc, "compile_callable",
+        lambda exprs, names: compiled.append(len(exprs)) or real_compile(exprs, names),
+    )
+    af = builtin("airfoil")
+    loads(CHAIN2)
+    assert built == [] and compiled == []
+    for k in range(5):
+        params = {"Minf": Fraction(2017 + k, 256), "V": Fraction(83, 4)}
+        assert count_stable(af, params, box=(-1, 1), seeds=5) == 2
+    assert built == [af]
+    assert compiled == [4]  # the 2 x 2 curvature P
 
 
 # ---------------------------------------------------------------------------
