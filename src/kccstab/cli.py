@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import ExprError
+from .expr import ExprError, to_float
 from .kcc import ModelError, invariants, kcc_deviation
 from .models import BUILTIN_NAMES, builtin, load, parse_rational
 from .numerics import (
@@ -102,9 +102,14 @@ def _parse_params(text: str | None) -> dict[str, Fraction]:
             raise UsageError(f"bad --params entry {item!r}: expected name=value")
         name, _, val = item.partition("=")
         try:
-            out[name.strip()] = parse_rational(val.strip())
-        except (ValueError, ModelError):
-            raise UsageError(f"bad --params value {val!r} for {name.strip()!r}")
+            value = parse_rational(val.strip())
+            to_float(value)
+        except (ValueError, ModelError, ExprError):
+            raise UsageError(
+                f"bad --params value {val!r} for {name.strip()!r}: "
+                "expected a rational within the float range"
+            )
+        out[name.strip()] = value
     return out
 
 
@@ -157,7 +162,7 @@ def _emit(args, text_lines, json_obj, csv_rows=None):
 
 
 def _g(x: float) -> str:
-    x = float(x)
+    x = to_float(x)
     if abs(x) < 1e-14:
         x = 0.0
     return format(x, ".12g")
@@ -451,7 +456,7 @@ def cmd_region(args) -> int:
         "label": rep.label,
         "stable_count": rep.stable_count,
         "boundary": rep.boundary,
-        "values": {k: float(v) for k, v in rep.values.items()},
+        "values": {k: to_float(v) for k, v in rep.values.items()},
     }
     _emit(args, lines, obj)
     return EXIT_OK
@@ -550,6 +555,10 @@ def main(argv=None) -> int:
         return EXIT_MODEL
     except ValueError as e:
         print(f"kccstab: model error: {e}", file=sys.stderr)
+        return EXIT_MODEL
+    except RecursionError:
+        # the symbolic layers walk expression trees recursively
+        print("kccstab: model error: expression nested too deeply", file=sys.stderr)
         return EXIT_MODEL
 
 

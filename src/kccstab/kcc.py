@@ -19,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from .expr import (
     Expr,
+    ExprError,
     Symbol,
     ZeroDenominatorError,
     add,
@@ -32,6 +33,7 @@ from .expr import (
     neg,
     sub,
     substitute,
+    to_float,
 )
 
 
@@ -404,7 +406,7 @@ class CompiledModel:
     ) -> tuple[float, ...]:
         """Resolved parameter values (see Model.binding) as evaluator arguments."""
         bind = self.model.binding(params)
-        return tuple(float(bind[p]) for p in self.model.params)
+        return tuple(to_float(bind[p]) for p in self.model.params)
 
     def call(
         self,
@@ -416,7 +418,7 @@ class CompiledModel:
         """Run an evaluator at one state (default velocities 0).
 
         A zero denominator raises ZeroDenominatorError, as exact evaluation
-        does.
+        does; a power beyond the float range raises ExprError.
         """
         n = self.model.n
         vel = [0.0] * n if velocities is None else velocities
@@ -429,6 +431,8 @@ class CompiledModel:
             return fn(*args, *param_values)
         except ZeroDivisionError:
             raise ZeroDenominatorError(detail=f"at state {tuple(args)}") from None
+        except OverflowError:
+            raise ExprError(f"evaluation overflowed at state {tuple(args)}") from None
 
 
 # --------------------------------------------------------------------------

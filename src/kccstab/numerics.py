@@ -11,13 +11,15 @@ at unstable ones.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import compile_callable, mul
+from .expr import Constant, canonicalize, exec_generated, mul, p_to_expr, pysrc
 from .kcc import Model, ModelError, kcc_deviation
 from .stability import Classifier
 
@@ -77,16 +79,65 @@ class FocusingProfile:
 # nonlinear integration
 
 
-def _vector_field(model: Model, params) -> tuple:
-    """Compiled acceleration field and denominator guards over (x, y)."""
-    from .expr import canonicalize, p_to_expr
+_RK4_SOURCE = """\
+def _rk4(z, nsteps, dt):
+    {z}, = z
+    out = array('d', z) * (nsteps + 1)
+    h2, h6, j = 0.5 * dt, dt / 6.0, 0
+    try:
+        for k in range(1, nsteps + 1):
+            t0 = (k - 1) * dt
+{body}
+    except ZeroDivisionError:
+        raise IntegrationError(t, 'denominator reached zero') from None
+    except OverflowError:
+        raise IntegrationError(t, 'state became non-finite') from None
+    return out
+"""
 
-    args = model.xs + model.ys
-    gs = model.g_bound(params)
-    accel = compile_callable([mul(-2, g) for g in gs], args)
-    dens = [canonicalize(g, args).den for g in gs]
-    den_fn = compile_callable([p_to_expr(d, args) for d in dens], args)
-    return accel, den_fn
+
+def _rk4_trace(accel, guards, z0, t_end, dt, names, finite=True) -> Trace:
+    """Fixed-step RK4 on x' = y, y' = a(x, y), run as one generated loop.
+
+    `accel` holds the n accelerations and `guards` the denominators, as
+    Python sources over the stage state `s0 .. s{2n-1}` (positions, then
+    velocities).  The loop over scalar floats is compiled once per call.
+    Its stages follow the operation order of the vector form z + (h/2)·k1,
+    z + h·k3, z + (h/6)·(k1 + 2k2 + 2k3 + k4), so the states are those of
+    that form bit for bit.  Each stage checks the least guard magnitude
+    before the accelerations; with `finite` a non-finite state aborts.
+    """
+    if dt <= 0 or t_end <= 0:
+        raise ValueError("t_end and dt must be positive")
+    n = len(accel)
+
+    def vec(fmt: str) -> str:
+        return ", ".join(fmt.format(i) for i in range(2 * n))
+
+    # with a last 1.0, never below the floor, min() also takes a single guard
+    low = "".join(f"abs({g}), " for g in guards)
+    check = f"if min({low}1.0) < _FLOOR: raise IntegrationError(t, _BELOW)" if guards else ""
+    rhs = ", ".join([f"s{n + i}" for i in range(n)] + list(accel))
+    body = []
+    for k, state, time in (
+        ("a", "z{0}", "t0"),
+        ("b", "z{0} + h2 * a{0}", "t0 + h2"),
+        ("c", "z{0} + h2 * b{0}", "t0 + h2"),
+        ("d", "z{0} + dt * c{0}", "k * dt"),
+    ):
+        body += [f"t = {time}", f"{vec('s{0}')} = {vec(state)}", check, f"{vec(k + '{0}')} = {rhs}"]
+    body.append(f"{vec('z{0}')} = {vec('z{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})')}")
+    if finite:
+        ok = " and ".join(f"isfinite(z{i})" for i in range(2 * n))
+        body.append(f"if not ({ok}): raise IntegrationError(t, 'state became non-finite')")
+    body += [f"j += {2 * n}", *(f"out[j + {i}] = z{i}" for i in range(2 * n))]
+    src = _RK4_SOURCE.format(z=vec("z{0}"), body="\n".join(" " * 12 + b for b in body if b))
+    ns = dict(array=array, isfinite=math.isfinite, IntegrationError=IntegrationError,
+              _FLOOR=DENOMINATOR_FLOOR, _BELOW=f"denominator below {DENOMINATOR_FLOOR:g}")
+    run = exec_generated(src, "_rk4", ns)
+    nsteps = int(round(t_end / dt))
+    states = np.frombuffer(run(z0, nsteps, dt)).reshape(nsteps + 1, 2 * n)
+    return Trace(np.arange(nsteps + 1) * dt, states, names, dt, "rk4")
 
 
 def integrate(
@@ -99,47 +150,23 @@ def integrate(
     """Classical RK4 on (x' = y, y' = -2G) from initial (x0, y0).
 
     Aborts with IntegrationError when any canonical G denominator falls
-    below 1e-10 in magnitude at an evaluation point.
+    below 1e-10 in magnitude at an evaluation point, when an evaluation
+    divides by zero or overflows, or when the state becomes non-finite;
+    its `time` is that of the stage (the end of the step for the state).
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("t_end and dt must be positive")
     n = model.n
     x0, y0 = initial
     if len(x0) != n or len(y0) != n:
         raise ModelError(f"initial condition must have {n} positions and velocities")
-    accel, den_fn = _vector_field(model, params)
-
-    def rhs(t, z):
-        if min(abs(d) for d in den_fn(*z)) < DENOMINATOR_FLOOR:
-            raise IntegrationError(t, "denominator below 1e-10")
-        try:
-            a = accel(*z)
-        except ZeroDivisionError:
-            raise IntegrationError(t, "denominator reached zero") from None
-        return np.concatenate([z[n:], a])
-
-    nsteps = int(round(t_end / dt))
-    times = np.arange(nsteps + 1) * dt
-    states = np.empty((nsteps + 1, 2 * n))
-    z = np.array(list(x0) + list(y0), dtype=float)
-    states[0] = z
-    for k in range(1, nsteps + 1):
-        t0 = float(times[k - 1])
-        k1 = rhs(t0, z)
-        k2 = rhs(t0 + 0.5 * dt, z + 0.5 * dt * k1)
-        k3 = rhs(t0 + 0.5 * dt, z + 0.5 * dt * k2)
-        k4 = rhs(float(times[k]), z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)):
-            raise IntegrationError(float(times[k]), "state became non-finite")
-        states[k] = z
-    return Trace(
-        times=times,
-        states=states,
-        names=model.xs + model.ys,
-        dt=dt,
-        method="rk4",
-    )
+    args = model.xs + model.ys
+    slots = {name: f"s{i}" for i, name in enumerate(args)}
+    gs = model.g_bound(params)
+    dens = [p_to_expr(canonicalize(g, args).den, args) for g in gs]
+    # a constant canonical denominator is a nonzero integer: never below 1e-10
+    guards = [pysrc(d, slots) for d in dens if not isinstance(d, Constant)]
+    accel = [pysrc(mul(-2, g), slots) for g in gs]
+    z0 = [float(v) for v in x0] + [float(v) for v in y0]
+    return _rk4_trace(accel, guards, z0, t_end, dt, args)
 
 
 # ---------------------------------------------------------------------------
@@ -173,40 +200,17 @@ def integrate_deviation(
 
     Initial conditions are xi(0) = 0, xi'(0) = W (nonzero).
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("t_end and dt must be positive")
     n = model.n
     W = _check_w(W, n)
     a21, a22 = kcc_deviation(model).at_point(params, point)
-    A = _block_matrix(np.array(a21), np.array(a22))
-    nsteps = int(round(t_end / dt))
-    times = np.arange(nsteps + 1) * dt
-    states = np.empty((nsteps + 1, 2 * n))
-    z = np.concatenate([np.zeros(n), W])
-    states[0] = z
-    for k in range(1, nsteps + 1):
-        k1 = A @ z
-        k2 = A @ (z + 0.5 * dt * k1)
-        k3 = A @ (z + 0.5 * dt * k2)
-        k4 = A @ (z + dt * k3)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k] = z
-    return Trace(
-        times=times,
-        states=states,
-        names=_deviation_names(n),
-        dt=dt,
-        method="rk4",
-    )
-
-
-def _block_matrix(A21: np.ndarray, A22: np.ndarray) -> np.ndarray:
-    n = A21.shape[0]
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, n:] = np.eye(n)
-    A[n:, :n] = A21
-    A[n:, n:] = A22
-    return A
+    if not np.all(np.isfinite([a21, a22])):
+        raise ValueError(f"deviation system at {tuple(point)} has a non-finite entry")
+    accel = [
+        " + ".join(f"{float(c)!r} * s{j}" for j, c in enumerate([*a21[i], *a22[i]]))
+        for i in range(n)
+    ]
+    z0 = [0.0] * n + W.tolist()
+    return _rk4_trace(accel, (), z0, t_end, dt, _deviation_names(n), finite=False)
 
 
 def matrix_exp(A: np.ndarray) -> np.ndarray:
@@ -245,7 +249,7 @@ def matrix_exp_solution(
     times = np.asarray(times, dtype=float)
     if len(times) == 0:
         raise ValueError("times must be nonempty")
-    A = _block_matrix(A21, A22)
+    A = np.block([[np.zeros((n, n)), np.eye(n)], [A21, A22]])
     v0 = np.concatenate([np.zeros(n), W])
     states = np.empty((len(times), 2 * n))
     diffs = np.diff(times)
@@ -404,27 +408,23 @@ def perturbation_oracle(
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    """Header, then float rows at 17 significant digits: csv.writer's bytes."""
+    import csv
+
+    fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(fmt % row for row in rows)
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Write a trace as CSV: header t,<state names>, 17 significant digits."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *trace.names])
-        for t, row in zip(trace.times, trace.states):
-            writer.writerow([_fmt(t), *(_fmt(v) for v in row)])
+    rows = ((t, *z.tolist()) for t, z in zip(trace.times, trace.states))
+    _write_csv(path, ["t", *trace.names], rows)
 
 
 def write_profile_csv(profile: FocusingProfile, path) -> None:
     """Write a focusing profile as CSV with header t,norm_sq,t_sq."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "norm_sq", "t_sq"])
-        for t, ns, ts in zip(profile.times, profile.norm_sq, profile.t_sq):
-            writer.writerow([_fmt(t), _fmt(ns), _fmt(ts)])
+    rows = zip(profile.times, profile.norm_sq, profile.t_sq)
+    _write_csv(path, ["t", "norm_sq", "t_sq"], rows)

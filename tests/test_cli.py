@@ -348,6 +348,68 @@ def test_bad_model_file_reports_position(capsys, tmp_path):
     assert "bad.kcc:3:" in err
 
 
+def assert_one_line_error(err: str, text: str):
+    assert err.count("\n") == 1 and text in err and "Traceback" not in err
+
+
+def test_params_beyond_float_range_are_usage_errors(capsys):
+    for extra in ([], ["--point", "0,0"]):
+        rc, _, err = run(capsys, ["classify", "--model", "airfoil", "--params",
+                                  "Minf=2017/256,V=1e400", *extra])
+        assert rc == 1
+        assert_one_line_error(err, "float range")
+
+    # V itself is a float, but the exact region values it gives are not
+    for fmt in ("text", "json"):
+        rc, _, err = run(capsys, ["region", "--model", "airfoil", "--params",
+                                  "Minf=1,V=1e300", "--format", fmt])
+        assert rc == 2
+        assert_one_line_error(err, "out of float range")
+
+
+def test_model_numbers_beyond_float_range_are_model_errors(capsys, tmp_path):
+    big = tmp_path / "big.kcc"
+    big.write_text("model big\nvars x1\nG1 = 10^400*x1\n")
+    for argv in (["classify"], ["simulate", "--x0", "1", "--t-end", "0.01",
+                                "--dt", "0.001", "--out", str(tmp_path / "sim")]):
+        rc, _, err = run(capsys, [*argv, "--model", str(big)])
+        assert rc == 2
+        assert_one_line_error(err, "10^400 is out of float range")
+    assert not (tmp_path / "sim" / "trajectory.csv").exists()
+
+    default = tmp_path / "default.kcc"
+    default.write_text("model d\nparams k=1e400\nvars x1\nG1 = k*x1\n")
+    rc, _, err = run(capsys, ["classify", "--model", str(default), "--point", "0"])
+    assert rc == 2
+    assert_one_line_error(err, "out of float range")
+
+    cube = tmp_path / "cube.kcc"
+    cube.write_text("model c\nvars x1\nG1 = x1^3\n")
+    rc, _, err = run(capsys, ["deviation", "--model", str(cube), "--point", "1e200"])
+    assert rc == 2
+    assert_one_line_error(err, "overflowed")
+
+
+def test_deeply_nested_models_are_model_errors(capsys, tmp_path):
+    parens = tmp_path / "parens.kcc"
+    parens.write_text("model p\nvars x1\nG1 = " + "(" * 3000 + "x1" + ")" * 3000 + "\n")
+    rc, _, err = run(capsys, ["invariants", "--model", str(parens)])
+    assert rc == 2
+    assert_one_line_error(err, "nested too deeply")
+
+    # Horner forms parse, but nest too deeply for the Python compiler
+    # (150 levels) and for the recursive tree walkers (240 levels)
+    for depth in (150, 240):
+        horner = "x1"
+        for _ in range(depth):
+            horner = f"({horner} + 1)*x1"
+        path = tmp_path / f"horner{depth}.kcc"
+        path.write_text(f"model h\nvars x1\nG1 = {horner}/1000\n")
+        rc, _, err = run(capsys, ["classify", "--model", str(path), "--seeds", "3"])
+        assert rc == 2
+        assert_one_line_error(err, "nested too deeply")
+
+
 SUBCOMMANDS = ("invariants", "deviation", "fixed-points", "classify",
                "conditions", "simulate", "focusing", "region")
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kccstab.expr import (
     CanonicalRational,
     Constant,
+    ExprError,
     ParseError,
     Symbol,
     UnboundSymbolError,
@@ -31,6 +32,7 @@ from kccstab.expr import (
     sub,
     substitute,
     symbols,
+    to_float,
 )
 
 x, y, z = symbols(["x", "y", "z"])
@@ -289,3 +291,23 @@ def test_compiled_division_by_zero_raises():
     fn = compile_callable([parse("1/x")], ["x"])
     with pytest.raises(ZeroDivisionError):
         fn(0.0)
+
+
+def test_numbers_beyond_float_range():
+    assert to_float(Fraction(1, 3)) == 1 / 3
+    assert to_float(Fraction(1, 10 ** 400)) == 0.0  # underflow is fine
+    for value in (10 ** 400, Fraction(-(10 ** 401), 7)):
+        with pytest.raises(ExprError, match="out of float range"):
+            to_float(value)
+    with pytest.raises(ExprError, match=r"10\^400 is out of float range"):
+        compile_callable([parse("10^400*x")], ["x"])
+
+
+def test_deep_nesting_is_an_error_not_a_crash():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("(" * 3000 + "x" + ")" * 3000)
+    deep = x
+    for _ in range(150):
+        deep = mul(add(deep, 1), x)
+    with pytest.raises(ExprError, match="nested too deeply to compile"):
+        compile_callable([deep], ["x"])

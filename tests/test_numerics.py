@@ -5,15 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kccstab.kcc import Model
-from kccstab.expr import parse
+from kccstab.kcc import Model, kcc_deviation
+from kccstab.expr import canonicalize, compile_callable, mul, p_to_expr, parse
 from kccstab.models import TRACTOR_SEAT_REFERENCE_PARAMS, builtin
 from kccstab.numerics import (
     BUNCHING,
+    DENOMINATOR_FLOOR,
     DISPERSING,
     MIXED,
+    FocusingProfile,
     IntegrationError,
+    Trace,
     dominant_deviation_direction,
     focusing_profile,
     integrate,
@@ -29,6 +34,14 @@ from kccstab.stability import STABLE, UNSTABLE, classify_all
 
 WS_PARAMS = {"a": Fraction(1, 2), "C": 1, "m": -1}
 AIRFOIL_PARAMS = {"Minf": Fraction(2017, 256), "V": Fraction(83, 4)}
+TRACTOR_PARAMS = dict(TRACTOR_SEAT_REFERENCE_PARAMS)
+
+# (model, params, x0, y0) near a fixed point of each built-in
+BUILTIN_STARTS = [
+    ("wound_strings", WS_PARAMS, [2.03, 0.98], [0.004, -0.007]),
+    ("airfoil", AIRFOIL_PARAMS, [0.157, -0.121], [0.003, 0.001]),
+    ("tractor_seat", TRACTOR_PARAMS, [0.02, -0.03, 0.01], [0.005, 0.0, -0.002]),
+]
 
 
 def oscillator():
@@ -89,11 +102,157 @@ def test_denominator_abort_mid_run():
     assert "denominator" in str(ei.value)
 
 
+def test_zero_division_aborts_at_the_stage_time():
+    # canonically G1 = x1/8, but evaluated as written it divides by x1
+    m = Model("cancel", ("x1",), (parse("x1^2/(8*x1)"),))
+    with pytest.raises(IntegrationError, match="reached zero") as ei:
+        integrate(m, None, ([0.0], [1.0]), 1.0, 0.25)
+    assert ei.value.time == 0.0
+
+
 def test_denominator_abort_at_start():
     decay = Model("decay", ("x1", "x2"), (parse("-x1/2 + x2/x1"), parse("0")))
     with pytest.raises(IntegrationError) as ei:
         integrate(decay, None, ([1e-12, 0.0], [0.0, 0.0]), 1.0, 1e-2)
     assert ei.value.time == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the generated kernel against the vector-form numpy loop it replaced
+
+
+def numpy_integrate(model, params, initial, t_end, dt):
+    """Vector-form RK4 with compiled field and guard calls per stage."""
+    args = model.xs + model.ys
+    gs = model.g_bound(params)
+    accel = compile_callable([mul(-2, g) for g in gs], args)
+    den_fn = compile_callable(
+        [p_to_expr(canonicalize(g, args).den, args) for g in gs], args
+    )
+    n = model.n
+
+    def rhs(t, z):
+        if min(abs(d) for d in den_fn(*z)) < DENOMINATOR_FLOOR:
+            raise IntegrationError(t, "denominator below 1e-10")
+        return np.concatenate([z[n:], accel(*z)])
+
+    nsteps = int(round(t_end / dt))
+    times = np.arange(nsteps + 1) * dt
+    states = np.empty((nsteps + 1, 2 * n))
+    z = np.array(list(initial[0]) + list(initial[1]), dtype=float)
+    states[0] = z
+    with np.errstate(all="ignore"):
+        for k in range(1, nsteps + 1):
+            t0 = float(times[k - 1])
+            k1 = rhs(t0, z)
+            k2 = rhs(t0 + 0.5 * dt, z + 0.5 * dt * k1)
+            k3 = rhs(t0 + 0.5 * dt, z + 0.5 * dt * k2)
+            k4 = rhs(float(times[k]), z + dt * k3)
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(z)):
+                raise IntegrationError(float(times[k]), "state became non-finite")
+            states[k] = z
+    return times, states
+
+
+def numpy_deviation(model, params, point, W, t_end, dt):
+    """Vector-form RK4 on the frozen deviation system, z' = A z."""
+    n = model.n
+    a21, a22 = kcc_deviation(model).at_point(params, point)
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, n:] = np.eye(n)
+    A[n:, :n] = a21
+    A[n:, n:] = a22
+    nsteps = int(round(t_end / dt))
+    states = np.empty((nsteps + 1, 2 * n))
+    z = np.concatenate([np.zeros(n), np.asarray(W, dtype=float)])
+    states[0] = z
+    for k in range(1, nsteps + 1):
+        k1 = A @ z
+        k2 = A @ (z + 0.5 * dt * k1)
+        k3 = A @ (z + 0.5 * dt * k2)
+        k4 = A @ (z + dt * k3)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[k] = z
+    return states
+
+
+def row_relative_error(a, b) -> float:
+    """Largest over rows of max |a - b| divided by max |b| in that row."""
+    scale = np.max(np.abs(b), axis=1)
+    return float(np.max(np.max(np.abs(a - b), axis=1) / np.where(scale > 0, scale, 1.0)))
+
+
+def assert_same_abort(model, params, initial, t_end, dt):
+    with pytest.raises(IntegrationError) as ref:
+        numpy_integrate(model, params, initial, t_end, dt)
+    with pytest.raises(IntegrationError) as got:
+        integrate(model, params, initial, t_end, dt)
+    assert got.value.time == ref.value.time
+    assert str(got.value) == str(ref.value)
+
+
+def test_kernel_bit_identical_on_oscillator_and_builtins():
+    cases = [(oscillator(), None, [0.1], [0.3])] + [
+        (builtin(name), params, x0, y0) for name, params, x0, y0 in BUILTIN_STARTS
+    ]
+    for model, params, x0, y0 in cases:
+        times, states = numpy_integrate(model, params, (x0, y0), 1.0, 1e-3)
+        tr = integrate(model, params, (x0, y0), 1.0, 1e-3)
+        assert np.array_equal(tr.times, times)
+        assert np.array_equal(tr.states, states), model.name
+
+
+def test_kernel_deviation_agrees_on_builtins():
+    for name, params, x0, y0 in BUILTIN_STARTS:
+        model = builtin(name)
+        ref = numpy_deviation(model, params, x0, y0, 2.0, 1e-3)
+        tr = integrate_deviation(model, params, x0, y0, 2.0, 1e-3)
+        assert row_relative_error(tr.states, ref) <= 1e-12, name
+
+
+_coef = st.fractions(min_value=-3, max_value=3, max_denominator=16)
+
+
+@given(data=st.data(), n=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_numpy_on_random_linear_systems(data, n):
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    terms = [
+        " + ".join(
+            f"({data.draw(_coef)})*{v}" for v in xs + [f"y{i}" for i in range(1, n + 1)]
+        )
+        for _ in range(n)
+    ]
+    model = Model("linear", tuple(xs), tuple(parse(t) for t in terms))
+    x0 = data.draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    y0 = data.draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    times, states = numpy_integrate(model, None, (x0, y0), 0.2, 1e-3)
+    tr = integrate(model, None, (x0, y0), 0.2, 1e-3)
+    assert np.array_equal(tr.states, states)
+    W = [1.0] + y0[1:]
+    ref = numpy_deviation(model, None, x0, W, 0.2, 1e-3)
+    dev = integrate_deviation(model, None, x0, W, 0.2, 1e-3)
+    assert row_relative_error(dev.states, ref) <= 1e-12
+
+
+def test_kernel_aborts_at_the_reference_times():
+    decay = Model("decay", ("x1", "x2"), (parse("-x1/2 + x2/x1"), parse("0")))
+    assert_same_abort(decay, None, ([1.0, 0.0], [-1.0, 0.0]), 30.0, 1e-2)
+    assert_same_abort(decay, None, ([1e-12, 0.0], [0.0, 0.0]), 1.0, 1e-2)
+    # the same decay seen by the second of two guards (x1 stays 0)
+    second = Model("second", ("x1", "x2"), (parse("x1/(1 + x1^2)"), parse("-x2/2 + x1/x2")))
+    assert_same_abort(second, None, ([0.0, 1.0], [0.0, -1.0]), 30.0, 1e-2)
+    # x'' = 10^6 x: the state overflows near t = 0.7
+    blowup = Model("blowup", ("x1",), (parse("-500000*x1"),))
+    assert_same_abort(blowup, None, ([1.0], [0.0]), 2.0, 1e-3)
+
+
+def test_deviation_rejects_non_finite_matrix():
+    # A21 = -4*10^300*x1 overflows to -inf at x1 = 10^10
+    huge = Model("huge", ("x1",), (parse("10^300*x1^2"),))
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate_deviation(huge, None, [1e10], [1.0], 1.0, 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +448,39 @@ def test_trace_csv_round_trip(tmp_path):
         got = [float(v) for v in rows[k]]
         ref = [tr.times[k - 1], *tr.states[k - 1]]
         assert got == ref
+
+
+def csv_writer_bytes(header, rows, path) -> bytes:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".17g") for v in row])
+    return path.read_bytes()
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    values = np.array(
+        [[-0.0, 1e-05, 5e-324], [1e300, 0.1, -2.5], [np.inf, -np.inf, np.nan]]
+    )
+    tr = Trace(times=np.array([0.0, 0.1, 1e-05]), states=values,
+               names=("x1", "x2", "y1"), dt=None, method="rk4")
+    write_trace_csv(tr, tmp_path / "trace.csv")
+    expect = csv_writer_bytes(
+        ["t", *tr.names], np.column_stack([tr.times, values]), tmp_path / "ref.csv"
+    )
+    assert (tmp_path / "trace.csv").read_bytes() == expect
+    assert b"-0,1.0000000000000001e-05,4.9406564584124654e-324\r\n" in expect
+
+    prof = FocusingProfile(times=np.array([0.1, 0.2]), norm_sq=np.array([-0.0, 1e300]),
+                           t_sq=np.array([5e-324, 1e-05]), verdict=MIXED)
+    write_profile_csv(prof, tmp_path / "prof.csv")
+    expect = csv_writer_bytes(
+        ["t", "norm_sq", "t_sq"],
+        np.column_stack([prof.times, prof.norm_sq, prof.t_sq]),
+        tmp_path / "ref.csv",
+    )
+    assert (tmp_path / "prof.csv").read_bytes() == expect
 
 
 def test_profile_csv(tmp_path):
