@@ -376,9 +376,9 @@ def cmd_simulate(args) -> int:
         raise UsageError("--dt must not exceed --t-end")
     if args.t_probe <= 0:
         raise UsageError("--t-probe must be positive")
+    trace = integrate(model, params, (x0, y0), args.t_end, args.dt)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    trace = integrate(model, params, (x0, y0), args.t_end, args.dt)
     traj_path = os.path.join(outdir, "trajectory.csv")
     write_trace_csv(trace, traj_path)
     lines = [f"trajectory: {len(trace)} samples -> {traj_path}"]
@@ -550,10 +550,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"kccstab: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ModelError, ExprError, IntegrationError, OSError) as e:
-        print(f"kccstab: model error: {e}", file=sys.stderr)
-        return EXIT_MODEL
-    except ValueError as e:
+    except (ModelError, ExprError, IntegrationError, OSError, ValueError) as e:
         print(f"kccstab: model error: {e}", file=sys.stderr)
         return EXIT_MODEL
     except RecursionError:

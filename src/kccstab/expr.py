@@ -281,6 +281,27 @@ def sub(a, b) -> Expr:
     return add(as_expr(a), neg(b))
 
 
+def det(M: Sequence[list]):
+    """Determinant of a square matrix given as a sequence of row lists.
+
+    Cofactor expansion along the first row, using only ``+``, ``*`` and
+    unary ``-``, so it works over Expr trees, CanonicalRational, Fraction and
+    float entries alike.  The order of the operations is part of the result:
+    CanonicalRational forms depend on it.
+    """
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    total = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in M[1:]]
+        term = M[0][j] * det(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
 def symbols(names: str | Iterable[str]) -> list[Symbol]:
     if isinstance(names, str):
         names = names.split()
@@ -697,10 +718,6 @@ def pysrc(e: Expr, slots: Mapping[str, str]) -> str:
 
 Mono = tuple[int, ...]
 Poly = dict  # Mono -> int
-
-
-def p_zero() -> Poly:
-    return {}
 
 
 def p_const(c: int, nvars: int) -> Poly:

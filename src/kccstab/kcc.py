@@ -27,6 +27,7 @@ from .expr import (
     canonicalize,
     collect_symbols,
     compile_callable,
+    det,
     differentiate,
     div,
     mul,
@@ -439,18 +440,6 @@ class CompiledModel:
 # conversion of acceleration-linear systems to standard form
 
 
-def _det(M: list[list[Expr]]) -> Expr:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = as_expr(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        term = mul(M[0][j], _det(minor))
-        total = add(total, term if j % 2 == 0 else neg(term))
-    return total
-
-
 def to_standard_form(
     M: list[list[Expr]],
     f: list[Expr],
@@ -475,8 +464,8 @@ def to_standard_form(
         raise ModelError("symbolic inversion is limited to systems of size <= 4")
     M = [[as_expr(e) for e in row] for row in M]
     f = [as_expr(e) for e in f]
-    det = _det(M)
-    if canonicalize(det).is_zero:
+    d = det(M)
+    if canonicalize(d).is_zero:
         raise ModelError("singular mass matrix (determinant is identically zero)")
     # adjugate: adj[i][j] = (-1)^(i+j) * minor_det(j, i)
     G: list[Expr] = []
@@ -488,11 +477,11 @@ def to_standard_form(
                 for r in range(n)
                 if r != j
             ]
-            cof = _det(minor) if n > 1 else as_expr(1)
+            cof = det(minor) if n > 1 else as_expr(1)
             if (i + j) % 2:
                 cof = neg(cof)
             acc = add(acc, mul(cof, f[j]))
-        G.append(div(mul(Fraction(1, 2), acc), det))
+        G.append(div(mul(Fraction(1, 2), acc), d))
     if xs is None:
         xs = [f"x{i}" for i in range(1, n + 1)]
     if params is None:

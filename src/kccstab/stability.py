@@ -30,6 +30,7 @@ from .expr import (
     ZeroDenominatorError,
     canonicalize,
     compile_callable,
+    det,
     evaluate,
     p_const,
     p_diff,
@@ -80,11 +81,14 @@ def _scaled(v, f: Fraction):
     return v * f
 
 
-def char_poly(A: Sequence[Sequence]) -> list:
+def char_poly(A: Sequence[Sequence], check=None) -> list:
     """Coefficients [a_1..a_n] of det(lambda I - A) = l^n + a_1 l^(n-1) + ... + a_n.
 
     Faddeev–LeVerrier recursion; works over floats, Fractions and
-    CanonicalRational entries alike.
+    CanonicalRational entries alike.  `check(value, context)`, when given, is
+    called with context "characteristic polynomial" on each coefficient and
+    on every entry of the products A·M_k for k >= 2 (the first product is A
+    itself); it aborts the computation by raising.
     """
     if hasattr(A, "tolist"):
         A = A.tolist()
@@ -92,26 +96,32 @@ def char_poly(A: Sequence[Sequence]) -> list:
     n = len(A)
     if n == 0 or any(len(row) != n for row in A):
         raise ValueError("char_poly needs a square matrix")
-    one = _one_like(A[0][0])
-    zero = _zero_like(A[0][0])
-    M = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    context = "characteristic polynomial"
+    AM = A  # A·M_1, as M_1 is the identity
     coeffs = []
     for k in range(1, n + 1):
-        AM = [
-            [_dot(A[i], [M[l][j] for l in range(n)]) for j in range(n)]
-            for i in range(n)
-        ]
         tr = AM[0][0]
         for i in range(1, n):
             tr = tr + AM[i][i]
-        ck = _scaled(tr, Fraction(-1, k))
+        ck = _checked(check, _scaled(tr, Fraction(-1, k)), context)
         coeffs.append(ck)
         if k < n:
             M = [
                 [AM[i][j] + ck if i == j else AM[i][j] for j in range(n)]
                 for i in range(n)
             ]
+            AM = [
+                [_checked(check, _dot(A[i], [M[l][j] for l in range(n)]), context)
+                 for j in range(n)]
+                for i in range(n)
+            ]
     return coeffs
+
+
+def _checked(check, value, context: str):
+    if check is not None:
+        check(value, context)
+    return value
 
 
 def _dot(row, col):
@@ -137,25 +147,18 @@ def hurwitz_matrix(coeffs: Sequence) -> list[list]:
     return [[a(2 * j - i) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def _det_generic(M: list[list]):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        term = M[0][j] * _det_generic(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+def hurwitz_determinants(coeffs: Sequence, check=None) -> list:
+    """Leading principal minors [Delta_1..Delta_n] of the Hurwitz matrix.
 
-
-def hurwitz_determinants(coeffs: Sequence) -> list:
-    """Leading principal minors [Delta_1..Delta_n] of the Hurwitz matrix."""
+    `check(value, context)`, when given, is called on each minor as soon as
+    it is formed, with context "Hurwitz determinant k"; it aborts the
+    computation by raising.
+    """
     H = hurwitz_matrix(coeffs)
-    n = len(coeffs)
-    return [_det_generic([row[:k] for row in H[:k]]) for k in range(1, n + 1)]
+    return [
+        _checked(check, det([row[:k] for row in H[:k]]), f"Hurwitz determinant {k}")
+        for k in range(1, len(coeffs) + 1)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -498,6 +501,10 @@ def assemble_semialgebraic(
     monomials aborts with a size diagnostic.
     """
     n = model.n
+
+    def check(value: CanonicalRational, context: str):
+        _bcheck(value.monomial_count(), budget, context)
+
     bind: dict = {}
     if params:
         for k, v in params.items():
@@ -513,7 +520,7 @@ def assemble_semialgebraic(
     inequations: list[Poly] = []
     for g in model.G:
         cr = canonicalize(substitute(g, zeros), order)
-        _bcheck(cr.monomial_count(), budget, "clearing G denominators")
+        check(cr, "clearing G denominators")
         equations.append(cr.num)
         den = cr.den
         if any(any(m[i] for i in range(n)) for m in den):
@@ -528,9 +535,9 @@ def assemble_semialgebraic(
     ]
     for row in P0:
         for cr in row:
-            _bcheck(cr.monomial_count(), budget, "canonicalizing deviation curvature")
-    coeffs = _char_poly_budgeted(P0, budget)
-    dets = _hurwitz_budgeted(coeffs, budget)
+            check(cr, "canonicalizing deviation curvature")
+    coeffs = char_poly(P0, check)
+    dets = hurwitz_determinants(coeffs, check)
 
     inequalities: list[Poly] = []
     a_n = coeffs[-1]
@@ -550,46 +557,6 @@ def assemble_semialgebraic(
         char_coeffs=coeffs,
         hurwitz_dets=dets,
     )
-
-
-def _char_poly_budgeted(A: list[list[CanonicalRational]], budget: int):
-    n = len(A)
-    vars = A[0][0].vars
-    one = CanonicalRational.const(1, vars)
-    zero = CanonicalRational.zero(vars)
-    M = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    coeffs = []
-    for k in range(1, n + 1):
-        AM = [[zero for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = zero
-                for l in range(n):
-                    acc = acc + A[i][l] * M[l][j]
-                _bcheck(acc.monomial_count(), budget, "characteristic polynomial")
-                AM[i][j] = acc
-        tr = AM[0][0]
-        for i in range(1, n):
-            tr = tr + AM[i][i]
-        ck = tr.scale(Fraction(-1, k))
-        _bcheck(ck.monomial_count(), budget, "characteristic polynomial")
-        coeffs.append(ck)
-        if k < n:
-            M = [
-                [AM[i][j] + ck if i == j else AM[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-    return coeffs
-
-
-def _hurwitz_budgeted(coeffs: list[CanonicalRational], budget: int):
-    H = hurwitz_matrix(coeffs)
-    out = []
-    for k in range(1, len(coeffs) + 1):
-        d = _det_generic([row[:k] for row in H[:k]])
-        _bcheck(d.monomial_count(), budget, f"Hurwitz determinant {k}")
-        out.append(d)
-    return out
 
 
 # --------------------------------------------------------------------------

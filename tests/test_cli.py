@@ -259,11 +259,16 @@ def test_python_keywords_as_model_names(capsys, tmp_path):
     ]
 
 
-def test_simulate_singular_start_exit(capsys):
+def test_simulate_singular_start_exit(capsys, tmp_path):
     # the wound-strings curvature divides by x1 and x2
     rc, _, err = run(capsys, ["simulate", *WS, "--x0", "0,0", "--t-end", "1"])
     assert rc == 2
     assert "aborted at t = 0" in err
+    # an aborted run creates no output directory
+    outdir = tmp_path / "new"
+    rc, _, err = run(capsys, ["simulate", *WS, "--x0", "0,0", "--out", str(outdir)])
+    assert rc == 2 and "aborted at t = 0" in err
+    assert not outdir.exists()
 
 
 def test_focusing_verdicts(capsys, tmp_path):
@@ -346,6 +351,18 @@ def test_bad_model_file_reports_position(capsys, tmp_path):
     rc, _, err = run(capsys, ["invariants", "--model", str(bad)])
     assert rc == 2
     assert "bad.kcc:3:" in err
+
+
+def test_linear_accel_model_beyond_four_positions(capsys, tmp_path):
+    names = [f"x{i}" for i in range(1, 6)]
+    lines = ["model big", "mode linear-accel", "vars " + " ".join(names)]
+    lines += [f"M[{i}][{i}] = 1" for i in range(1, 6)]
+    lines += [f"f[{i}] = {x}" for i, x in enumerate(names, 1)]
+    path = tmp_path / "big.kcc"
+    path.write_text("\n".join(lines) + "\n")
+    rc, _, err = run(capsys, ["classify", "--model", str(path)])
+    assert rc == 2
+    assert_one_line_error(err, "limited to systems of size <= 4")
 
 
 def assert_one_line_error(err: str, text: str):

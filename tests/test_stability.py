@@ -12,10 +12,13 @@ from kccstab import kcc
 from kccstab.expr import (
     Add,
     BudgetExceededError,
+    CanonicalRational,
     Constant,
     Mul,
     Pow,
     Symbol,
+    canonicalize,
+    det,
     evaluate,
     p_eval,
     parse,
@@ -110,6 +113,92 @@ def test_hurwitz_determinants_closed_forms():
         a1 * a2 - a3,
         a3 * (a1 * a2 - a3),
     ]
+
+
+def test_check_hook_sees_intermediate_products():
+    # A is nilpotent, so every coefficient is 0, but A^2 holds p*q
+    vars = ("p", "q")
+    p, q = (canonicalize(Symbol(v), vars) for v in vars)
+    z = CanonicalRational.zero(vars)
+    A = [[z, p, z], [z, z, q], [z, z, z]]
+    coeffs = char_poly(A)
+    assert all(c.is_zero for c in coeffs)
+
+    def budget_check(budget):
+        def check(value, context):
+            if value.monomial_count() > budget:
+                raise BudgetExceededError(value.monomial_count(), budget, context)
+        return check
+
+    budget = (p * q).monomial_count() - 1
+    assert all(c.monomial_count() <= budget for c in coeffs)
+    with pytest.raises(BudgetExceededError, match="characteristic polynomial"):
+        char_poly(A, budget_check(budget))
+    with pytest.raises(BudgetExceededError, match="Hurwitz determinant 1"):
+        hurwitz_determinants(coeffs, budget_check(0))
+
+
+_POLY_FORMS = ("{a}", "{a}*{s}", "{s} + {a}", "{a}*{s}*{t} - {b}")
+_RATIONAL_FORM = "({s} + {a})/({t}^2 + {c})"
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def _symbolic_matrix(draw, rational_up_to=4):
+    """1x1..4x4 matrices of small expressions in p, q, r.
+
+    Quotient entries appear only up to size `rational_up_to`: without a
+    polynomial gcd, canonical characteristic polynomials of larger rational
+    matrices grow to thousands of monomials.
+    """
+    n = draw(st.integers(1, 4))
+    forms = _POLY_FORMS + ((_RATIONAL_FORM,) if n <= rational_up_to else ())
+    names = st.sampled_from("pqr")
+
+    def entry():
+        form = draw(st.sampled_from(forms))
+        return parse(form.format(a=draw(_small), b=draw(_small),
+                                 c=draw(st.integers(1, 3)), s=draw(names), t=draw(names)))
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+_point = st.fixed_dictionaries(
+    {v: st.fractions(-5, 5, max_denominator=9) for v in "pqr"}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symbolic_matrix(), _point)
+def test_det_commutes_with_exact_evaluation(M, point):
+    at_point = [[evaluate(e, point) for e in row] for row in M]
+    assert evaluate(det(M), point) == _frac_det(at_point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_symbolic_matrix(rational_up_to=2), _point)
+def test_char_poly_commutes_with_exact_evaluation(M, point):
+    vars = ("p", "q", "r")
+    A = [[canonicalize(e, vars) for e in row] for row in M]
+    vals = [point[v] for v in vars]
+    coeffs = [Fraction(p_eval(c.num, vals)) / p_eval(c.den, vals) for c in char_poly(A)]
+    at_point = [[evaluate(e, point) for e in row] for row in M]
+    n = len(M)
+    for lam in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)):
+        lhs = lam ** n + sum(c * lam ** (n - k) for k, c in enumerate(coeffs, 1))
+        lamI_minus_A = [
+            [(lam if i == j else 0) - at_point[i][j] for j in range(n)]
+            for i in range(n)
+        ]
+        assert lhs == _frac_det(lamI_minus_A)
+
+
+def test_det_floats_match_numpy():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(10):
+            A = rng.standard_normal((n, n))
+            assert det(A.tolist()) == pytest.approx(np.linalg.det(A), rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
