@@ -376,6 +376,9 @@ def cmd_simulate(args) -> int:
         raise UsageError("--dt must not exceed --t-end")
     if args.t_probe <= 0:
         raise UsageError("--t-probe must be positive")
+    W = _parse_vector(args.w, "--w") if args.w else None
+    if W is not None and len(W) != n:
+        raise UsageError(f"--w must have {n} components")
     trace = integrate(model, params, (x0, y0), args.t_end, args.dt)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -383,10 +386,7 @@ def cmd_simulate(args) -> int:
     write_trace_csv(trace, traj_path)
     lines = [f"trajectory: {len(trace)} samples -> {traj_path}"]
     verdict = None
-    if args.w:
-        W = _parse_vector(args.w, "--w")
-        if len(W) != n:
-            raise UsageError(f"--w must have {n} components")
+    if W is not None:
         dev = integrate_deviation(model, params, x0, W, args.t_end, args.dt)
         dev_path = os.path.join(outdir, "deviation.csv")
         write_trace_csv(dev, dev_path)
@@ -544,12 +544,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except SystemExit as e:
         return int(e.code or 0)
     except UsageError as e:
         print(f"kccstab: error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader of stdout has gone, as with `| head`: end quietly
+        _detach_stdout()
+        return EXIT_OK
     except (ModelError, ExprError, IntegrationError, OSError, ValueError) as e:
         print(f"kccstab: model error: {e}", file=sys.stderr)
         return EXIT_MODEL
@@ -557,6 +563,17 @@ def main(argv=None) -> int:
         # the symbolic layers walk expression trees recursively
         print("kccstab: model error: expression nested too deeply", file=sys.stderr)
         return EXIT_MODEL
+
+
+def _detach_stdout() -> None:
+    """Point stdout at the null device, so the flush at exit finds no pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def entry() -> None:

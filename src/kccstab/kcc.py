@@ -14,12 +14,19 @@ symbolic computation on expression trees.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
+    ONE,
+    Add,
+    Div,
     Expr,
     ExprError,
+    Mul,
+    Poly,
+    Pow,
     Symbol,
     ZeroDenominatorError,
     add,
@@ -32,6 +39,10 @@ from .expr import (
     div,
     mul,
     neg,
+    p_add,
+    p_diff,
+    p_neg,
+    p_to_expr,
     sub,
     substitute,
     to_float,
@@ -355,12 +366,18 @@ class CompiledModel:
     deviation_blocks  symbolic (A21, A22) = (-2 dG/dx, -2 N)
     curvature         P, n*n entries
     deviation         A21 then A22, 2*n*n entries
+    fixed_points      the FixedPointSystem: G at y = 0 as canonical pairs
+                      over `xs + params`, with its numerators, Jacobian and
+                      denominators compiled over `xs + params` and the
+                      exact check `bind` for one parameter point
 
-    Parameter values never enter this data: exact work at a parameter point
-    (substituting the values, canonical forms) stays with its caller.
+    Parameter values never enter this data.  The one exact step per
+    parameter point is `fixed_points.bind`, which binds the values into the
+    coefficients in integer arithmetic; a point it refuses takes the
+    per-point forms of the fixed-point search.
     """
 
-    __slots__ = ("model", "_invariants", "_blocks", "_curvature", "_deviation")
+    __slots__ = ("model", "_invariants", "_blocks", "_curvature", "_deviation", "_fixed_points")
 
     def __init__(self, model: Model):
         self.model = model
@@ -368,6 +385,7 @@ class CompiledModel:
         self._blocks = None
         self._curvature = None
         self._deviation = None
+        self._fixed_points = None
 
     @property
     def invariants(self) -> KccInvariants:
@@ -396,6 +414,12 @@ class CompiledModel:
         if self._deviation is None:
             self._deviation = self._compile(*self.deviation_blocks)
         return self._deviation
+
+    @property
+    def fixed_points(self) -> "FixedPointSystem":
+        if self._fixed_points is None:
+            self._fixed_points = FixedPointSystem(self.model)
+        return self._fixed_points
 
     def _compile(self, *matrices) -> Callable:
         m = self.model
@@ -434,6 +458,296 @@ class CompiledModel:
             raise ZeroDenominatorError(detail=f"at state {tuple(args)}") from None
         except OverflowError:
             raise ExprError(f"evaluation overflowed at state {tuple(args)}") from None
+
+
+class FixedPointSystem:
+    """G at y = 0 as canonical polynomial pairs over `xs + params`, built once.
+
+    nums, dens    the canonical (numerator, denominator) pair of each G_i at
+                  y = 0 over the variables `xs + params`
+    evaluators    (numerators, Jacobian d nums_i / d x_j row-major,
+                  denominators), compiled over `xs + params`
+
+    All three are None for a model whose pairs never stand for the forms
+    at a parameter point (see `bind`); every point of such a model takes
+    the exact per-point path of the fixed-point search.
+    """
+
+    __slots__ = ("model", "nums", "dens", "evaluators", "_binder", "_checks", "_coeffs", "_limit")
+
+    def __init__(self, model: Model):
+        self.model = model
+        self.nums = self.dens = self.evaluators = self._binder = None
+        try:
+            derived = _generic_fixed_point_pairs(model)
+            if derived is None:
+                return
+            self.nums, self.dens, checks = derived
+            order = model.xs + model.params
+            n = model.n
+            jac = [p_diff(self.nums[i], j) for i in range(n) for j in range(n)]
+            self.evaluators = tuple(
+                compile_callable([p_to_expr(p, order) for p in polys], order)
+                for polys in (self.nums, jac, self.dens)
+            )
+        except ExprError:  # the exact path reports it, at every point
+            self.nums = self.dens = self.evaluators = None
+            return
+        # the checks, then the coefficients of each numerator and denominator
+        polys = list(checks)
+        self._coeffs = []
+        for pair in zip(self.nums, self.dens):
+            num, den = (_by_position(p, n) for p in pair)
+            start = len(polys)
+            polys += list(num.values()) + list(den.values())
+            lead = max(den, key=lambda m: (sum(m), m))  # graded-lex leading monomial
+            self._coeffs.append((
+                range(start, start + len(num)),
+                range(start + len(num), len(polys)),
+                list(den).index(lead),
+            ))
+        self._checks = len(checks)
+        self._binder = _ParameterBinder(polys, len(model.params))
+        # Float evaluation of the generic forms stays in range when no
+        # parameter is further than 2^limit from 1 in magnitude.
+        every = self.nums + self.dens + jac
+        bits = max((abs(c).bit_length() for p in every for c in p.values()), default=0)
+        degree = max((sum(m[n:]) for p in every for m in p), default=0)
+        self._limit = (1000 - bits) // max(degree, 1)
+
+    def bind(
+        self, params: Mapping[str, Fraction | float] | None
+    ) -> tuple[tuple[float, ...], tuple[Fraction, ...]] | None:
+        """Exact check of the generic pairs at one parameter point.
+
+        Returns the parameter values as evaluator arguments and, for each
+        G_i, the exact constant s_i with which s_i * nums[i] and s_i *
+        dens[i], the values bound, are the canonical pair of G_i at y = 0
+        and this point (the parameter values substituted, then
+        canonicalized over `xs`).  Returns None when that is not certain;
+        the caller then takes that exact per-point path.  The pairs stand
+        for the point when every position monomial of each generic
+        numerator and denominator keeps a nonzero coefficient, and when
+        every parameter polynomial of the structural checks made once per
+        model is nonzero there: no subexpression of G at y = 0, nor any
+        denominator of G taken at y = 0, has a zero numerator or
+        denominator, a sum regroups no terms, and no partial sum after a
+        term with a position-dependent denominator vanishes.  A point with
+        a parameter too large or too small for the float evaluation of the
+        generic forms, or whose exact pair does not fit in floats, is also
+        left to the exact path.  Unknown or missing parameters raise
+        ModelError (see Model.binding).
+        """
+        bind = self.model.binding(params)
+        if self._binder is None:
+            return None
+        values = [bind[p] for p in self.model.params]
+        for v in values:
+            if v and abs(v.numerator.bit_length() - v.denominator.bit_length()) > self._limit:
+                return None
+        weights, scale = self._binder.weights(values)
+        value = self._binder.value
+        if not all(value(i, weights) for i in range(self._checks)):
+            return None
+        scales = []
+        for num_idx, den_idx, lead in self._coeffs:
+            num = [value(i, weights) for i in num_idx]
+            den = [value(i, weights) for i in den_idx]
+            if not (all(num) and all(den)):
+                return None
+            g = math.gcd(*num, *den)
+            if max(abs(c) for c in num + den) // g >= 1 << 1000:
+                return None
+            s = Fraction(scale if den[lead] > 0 else -scale, g)
+            try:
+                if float(s) == 0.0:
+                    return None
+            except OverflowError:
+                return None
+            scales.append(s)
+        return tuple(float(v) for v in values), tuple(scales)
+
+
+class _ParameterBinder:
+    """Polynomials in the parameters, evaluated exactly at a rational point.
+
+    Every value is scaled by the same positive integer W = prod_k b_k^d_k
+    (b_k the denominator of parameter k, d_k its largest exponent), so the
+    scaled values are integers: one sum of integer products each.
+    """
+
+    __slots__ = ("monos", "degrees", "terms")
+
+    def __init__(self, polys: list[Poly], nparams: int):
+        self.monos = sorted({m for p in polys for m in p})
+        index = {m: i for i, m in enumerate(self.monos)}
+        self.degrees = [max((m[k] for m in self.monos), default=0) for k in range(nparams)]
+        self.terms = [[(c, index[m]) for m, c in p.items()] for p in polys]
+
+    def weights(self, values: Sequence[Fraction]) -> tuple[list[int], int]:
+        """W times each parameter monomial at the point, and W."""
+        tables, scale = [], 1
+        for v, d in zip(values, self.degrees):
+            a, b = v.numerator, v.denominator
+            tables.append([a ** e * b ** (d - e) for e in range(d + 1)])
+            scale *= b ** d
+        weights = []
+        for m in self.monos:
+            w = 1
+            for table, e in zip(tables, m):
+                w *= table[e]
+            weights.append(w)
+        return weights, scale
+
+    def value(self, i: int, weights: Sequence[int]) -> int:
+        return sum(c * weights[j] for c, j in self.terms[i])
+
+
+def _generic_fixed_point_pairs(model: Model):
+    """Generic pairs of G at y = 0 and the checks for `FixedPointSystem.bind`.
+
+    Returns (nums, dens, checks), checks being polynomials in the
+    parameters that must all be nonzero at a point, or None when no point
+    can be certified.
+    """
+    n = model.n
+    order = model.xs + model.params
+    positions = set(model.xs)
+    zeros = {y: 0 for y in model.ys}
+    checks: dict = {}
+    nums, dens = [], []
+
+    def require(p: Poly) -> bool:
+        """Add the check that p is nonzero; False when it is identically zero."""
+        if not p:
+            return False
+        if len(p) == 1:  # a monomial: each parameter in it nonzero
+            (m, _), = p.items()
+            for k, e in enumerate(m):
+                if e:
+                    unit = tuple(int(i == k) for i in range(len(m)))
+                    checks[((unit, 1),)] = {unit: 1}
+        else:
+            checks[tuple(sorted(p.items()))] = p
+        return True
+
+    def pair_of(e: Expr) -> tuple[Poly, Poly]:
+        found = []
+        canonicalize(e, order, lambda node, num, den: found.append((num, den)))
+        return found[-1]
+
+    for g in model.G:
+        nodes = []
+
+        def visit(node, num, den):
+            nodes.append((node, num, den))
+
+        for d in _divisors(g):  # a divisor that vanishes at the point raises there
+            canonicalize(substitute(d, zeros), order, visit)
+        t = substitute(g, zeros)
+        cr = canonicalize(t, order, visit)
+        pairs = {id(node): (num, den) for node, num, den in nodes}
+        for node, num, den in nodes:
+            if not (require(_witness(num, n)) and require(_witness(den, n))):
+                return None
+            for p in _shape_checks(node, pairs, positions, n, pair_of):
+                if not require(p):
+                    return None
+        nums.append(cr.num)
+        dens.append(cr.den)
+    return nums, dens, list(checks.values())
+
+
+def _shape_checks(node: Expr, pairs, positions: set, n: int, pair_of) -> list[Poly]:
+    """Parameter polynomials that keep one node's shape at a point.
+
+    Substituting the parameter values turns the parameter-only parts into
+    constants, and the simplifying constructors then regroup a node when a
+    constant factor is 1 (the product, or quotient, becomes its one other
+    factor: a sum spliced into the sum around it, or a quotient that a
+    quotient divides by) or when the constant terms of a sum with one other
+    term add up to 0.  A sum's canonical form also matches the generic one
+    only when at most one term has a position-dependent denominator (two
+    such denominators can coincide at a point, or differ by an integer
+    factor, and are then merged or not) and no partial sum containing that
+    term vanishes.  An empty polynomial in the result makes no point
+    certifiable.
+    """
+    if isinstance(node, Mul) or isinstance(node, Div) and not collect_symbols(node.den) & positions:
+        factor, core = _core(node, positions)
+        if len(core) == 1 and isinstance(core[0], (Add, Div)):
+            num, den = pair_of(factor)
+            return [{m[n:]: c for m, c in p_add(num, p_neg(den)).items()}]
+        return []
+    if not isinstance(node, Add):
+        return []
+    args = node.args
+    free = [a for a in args if not collect_symbols(a) & positions]
+    terms = [a for a in args if collect_symbols(a) & positions]
+    out = []
+    if free and len(terms) == 1:
+        out.append({m[n:]: c for m, c in pair_of(add(*free))[0].items()})
+    varying = [k for k, a in enumerate(terms) if any(any(m[:n]) for m in pairs[id(a)][1])]
+    if len(varying) > 1:
+        return [{}]
+    if varying:
+        j = varying[0]
+        # the generic pair sums the terms in their written order; a partial
+        # sum that vanishes identically there would drop its denominator
+        at = next(i for i, a in enumerate(args) if a is terms[j])
+        for k in range(at + 1, len(args)):
+            if not pair_of(add(*args[:k]))[0]:
+                return [{}]
+        # at a point, the parameter-only terms come first, as one constant
+        for k in range(j + 1, len(terms)):
+            out.append(_witness(pair_of(add(*free, *terms[:k]))[0], n))
+    return out
+
+
+def _core(e: Expr, positions: set) -> tuple[Expr, list[Expr]]:
+    """Split a term into its parameter-only factor and its other factors."""
+    if not collect_symbols(e) & positions:
+        return e, []
+    if isinstance(e, Mul):
+        factors, core = [], []
+        for a in e.args:
+            f, c = _core(a, positions)
+            factors.append(f)
+            core.extend(c)
+        return mul(*factors), core
+    if isinstance(e, Div) and not collect_symbols(e.den) & positions:
+        f, core = _core(e.num, positions)
+        return div(f, e.den), core
+    return ONE, [e]
+
+
+def _divisors(e: Expr) -> list[Expr]:
+    """The denominator of every quotient in e."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Add, Mul)):
+            stack.extend(node.args)
+        elif isinstance(node, Div):
+            out.append(node.den)
+            stack.extend((node.num, node.den))
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+    return out
+
+
+def _by_position(p: Poly, n: int) -> dict:
+    """p as {position monomial: polynomial in the parameters}."""
+    out: dict = {}
+    for m, c in p.items():
+        out.setdefault(m[:n], {})[m[n:]] = c
+    return out
+
+
+def _witness(p: Poly, n: int) -> Poly:
+    """A parameter polynomial nonzero at a point only if p stays nonzero:
+    the coefficient of one position monomial of p, the one with fewest terms."""
+    return min(_by_position(p, n).values(), key=len, default={})
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ whose solutions are precisely the Jacobi-stable fixed points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ from .expr import (
     canonicalize,
     compile_callable,
     det,
-    evaluate,
     p_const,
     p_diff,
     p_mul,
@@ -231,18 +231,32 @@ def find_fixed_points(
     `dedup_radius` (max-norm) collapse, earlier seeds first; results sort
     lexicographically.
 
-    The numerators and denominators are exact per parameter point: the
-    parameter values are substituted and G at y = 0 canonicalized for each
-    call, and `FixedPoint.residual`/`denom_margin` are measured on those
-    canonical forms.
+    The numerators and denominators are those of the canonical form of each
+    G_i at y = 0 at this parameter point, and `FixedPoint.residual` and
+    `denom_margin` are measured on them.  They are derived and compiled
+    once per model over the positions and the parameters
+    (`model.compiled.fixed_points`); `FixedPointSystem.bind` checks exactly
+    at each point that the generic forms, the values bound, are the
+    canonical ones up to a constant factor s_i per G_i, and the margin is
+    taken on s_i times the generic denominator.  At a point where that
+    check fails (a parameter value that zeroes a coefficient, cancels a
+    term or a denominator) the values are substituted and G at y = 0
+    canonicalized and compiled for this call alone, as the definition reads.
     """
     n = model.n
     bounds = _normalize_box(box, n)
-    nums, dens, order = _cleared_numerators(model, params)
-    f_num = compile_callable([p_to_expr(p, order) for p in nums], order)
-    f_den = compile_callable([p_to_expr(p, order) for p in dens], order)
-    jac_entries = [p_to_expr(p_diff(nums[i], j), order) for i in range(n) for j in range(n)]
-    f_jac = compile_callable(jac_entries, order)
+    system = model.compiled.fixed_points
+    bound = system.bind(params)
+    if bound is None:
+        nums, dens, order = _cleared_numerators(model, params)
+        f_num = compile_callable([p_to_expr(p, order) for p in nums], order)
+        f_den = compile_callable([p_to_expr(p, order) for p in dens], order)
+        jac_entries = [p_to_expr(p_diff(nums[i], j), order) for i in range(n) for j in range(n)]
+        f_jac = compile_callable(jac_entries, order)
+        values, scales = (), np.ones(n)
+    else:
+        f_num, f_jac, f_den = system.evaluators
+        values, scales = bound[0], np.array([float(s) for s in bound[1]])
 
     span = max(hi - lo for lo, hi in bounds)
     escape = 10.0 * span + 100.0
@@ -255,8 +269,8 @@ def find_fixed_points(
             if not len(active):
                 break
             x = X[active]
-            F = _on_rows(f_num, x)
-            J = _on_rows(f_jac, x).reshape(-1, n, n)
+            F = _on_rows(f_num, x, values)
+            J = _on_rows(f_jac, x, values).reshape(-1, n, n)
             ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
             dx, solved = _newton_steps(J[ok], -F[ok])
             active, x = active[ok][solved], x[ok][solved] + dx[solved]
@@ -270,10 +284,10 @@ def find_fixed_points(
         x = X[converged]
         lo, hi = np.array(bounds).T
         keep = ((x >= lo - 1e-9) & (x <= hi + 1e-9)).all(axis=1)
-        dvals = _on_rows(f_den, x)
-        margin = np.abs(dvals).min(axis=1)
+        dvals = _on_rows(f_den, x, values)
+        margin = np.abs(dvals * scales).min(axis=1)
         keep &= margin > denom_margin
-        resid = np.abs(_on_rows(f_num, x) / dvals).max(axis=1)
+        resid = np.abs(_on_rows(f_num, x, values) / dvals).max(axis=1)
         keep &= resid <= residual_scale * (1.0 + np.abs(x).max(axis=1))
 
     found: list[FixedPoint] = []
@@ -285,9 +299,9 @@ def find_fixed_points(
     return sorted(found, key=lambda fp: fp.point)
 
 
-def _on_rows(fn, x: np.ndarray) -> np.ndarray:
-    """A compiled callable at every row of x: one column per returned entry."""
-    vals = fn(*x.T)
+def _on_rows(fn, x: np.ndarray, values: Sequence[float] = ()) -> np.ndarray:
+    """A compiled callable at every row of x (then `values`): one column per entry."""
+    vals = fn(*x.T, *values)
     out = np.empty((len(x), len(vals)))
     for j, v in enumerate(vals):
         out[:, j] = v
@@ -606,16 +620,38 @@ class RegionReport:
         return self.label or "no region"
 
 
+@functools.lru_cache(maxsize=None)
+def _region_polynomials() -> tuple[list[tuple[str, Poly, int]], int, int]:
+    """The R polynomials as (name, integer Poly over (Minf, V), constant
+    denominator), with the largest degrees in Minf and V; built on first use."""
+    polys = []
+    for name, e in AIRFOIL_REGION_POLYNOMIALS.items():
+        cr = canonicalize(e, ("Minf", "V"))
+        (_, den), = cr.den.items()
+        polys.append((name, cr.num, den))
+    monos = [m for _, p, _ in polys for m in p]
+    return polys, max(m[0] for m in monos), max(m[1] for m in monos)
+
+
 def airfoil_region_conditions(minf, v) -> RegionReport:
     """Exact sign classification of airfoil parameters into C1..C5.
 
     Inputs convert to exact rationals, every R polynomial is evaluated in
     exact arithmetic, and the first matching region in index order wins
-    (the regions are pairwise disjoint, so the order is immaterial).
+    (the regions are pairwise disjoint, so the order is immaterial).  With
+    Minf = a/b and V = c/d, each R polynomial is one integer sum over the
+    common denominator b^D * d^E (D, E the largest degrees), turned into a
+    single Fraction.
     """
     bind = {"Minf": Fraction(minf), "V": Fraction(v)}
+    polys, deg_m, deg_v = _region_polynomials()
+    (a, b), (c, d) = (bind[k].as_integer_ratio() for k in ("Minf", "V"))
+    pow_m = [a ** i * b ** (deg_m - i) for i in range(deg_m + 1)]
+    pow_v = [c ** j * d ** (deg_v - j) for j in range(deg_v + 1)]
+    scale = b ** deg_m * d ** deg_v
     values = {
-        name: evaluate(e, bind) for name, e in AIRFOIL_REGION_POLYNOMIALS.items()
+        name: Fraction(sum(k * pow_m[i] * pow_v[j] for (i, j), k in p.items()), scale * den)
+        for name, p, den in polys
     }
     guard = (bind["Minf"] - 10) != 0 and all(val != 0 for val in values.values())
     if not guard:

@@ -271,6 +271,37 @@ def test_simulate_singular_start_exit(capsys, tmp_path):
     assert not outdir.exists()
 
 
+def test_simulate_checks_w_before_integrating(capsys, tmp_path):
+    outdir = tmp_path / "new"
+    rc, out, err = run(capsys, ["simulate", *WS, "--x0", "2,1", "--w", "1",
+                                "--t-end", "0.01", "--out", str(outdir)])
+    assert rc == 1 and "--w must have 2 components" in err and out == ""
+    assert not outdir.exists()
+
+
+def test_airfoil_zero_speed_is_a_model_error(capsys):
+    rc, _, err = run(capsys, ["fixed-points", "--model", "airfoil", "--params", "Minf=1,V=0"])
+    assert rc == 2
+    assert err == ("kccstab: model error: denominator is zero in subexpression: "
+                   "2100*V^2*Minf (after substitution)\n")
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops early (`| head -c 10`) is no error: exit 0, no message."""
+    src = Path(kccstab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    # about 94 KB of text: more than a pipe buffers, so the write meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kccstab.cli", "conditions", "--model", "tractor_seat"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
 def test_focusing_verdicts(capsys, tmp_path):
     rc, out, _ = run(capsys, ["focusing", *WS, "--point", "2,1"])
     assert rc == 0

@@ -1,28 +1,37 @@
 """Fixed-point search, Routh-Hurwitz classification, semialgebraic assembly."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kccstab import kcc
+from kccstab import kcc, stability
 from kccstab.expr import (
     Add,
     BudgetExceededError,
     CanonicalRational,
     Constant,
+    ExprError,
     Mul,
     Pow,
     Symbol,
+    ZeroDenominatorError,
+    add,
     canonicalize,
     det,
+    div,
     evaluate,
+    mul,
     p_eval,
     parse,
+    pow_,
     semantic_equal,
+    sub,
 )
 from kccstab.kcc import invariants, kcc_deviation
 from kccstab.models import BUILTIN_NAMES, TRACTOR_SEAT_CASES, builtin, loads
@@ -41,6 +50,7 @@ from kccstab.stability import (
     find_fixed_points,
     hurwitz_determinants,
     hurwitz_matrix,
+    _cleared_numerators,
 )
 
 WS_PARAMS = {"a": Fraction(1, 2), "C": 1, "m": -1}
@@ -395,6 +405,8 @@ def test_model_derives_and_compiles_once(monkeypatch):
         kcc, "compile_callable",
         lambda exprs, names: compiled.append(len(exprs)) or real_compile(exprs, names),
     )
+    per_point = []
+    monkeypatch.setattr(stability, "compile_callable", lambda *a: per_point.append(a))
     af = builtin("airfoil")
     loads(CHAIN2)
     assert built == [] and compiled == []
@@ -402,7 +414,248 @@ def test_model_derives_and_compiles_once(monkeypatch):
         params = {"Minf": Fraction(2017 + k, 256), "V": Fraction(83, 4)}
         assert count_stable(af, params, box=(-1, 1), seeds=5) == 2
     assert built == [af]
-    assert compiled == [4]  # the 2 x 2 curvature P
+    # fixed-point numerators, their 2 x 2 Jacobian and denominators, then
+    # the 2 x 2 curvature P; nothing is compiled per parameter point
+    assert compiled == [2, 4, 2, 4]
+    assert per_point == []
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point system: forms built once per model, exact check per point
+
+DEGEN = """model degen
+params p
+vars x1
+G1 = (x1^2 + p)/(x1*(x1 + 1)) + y1
+"""
+
+CHAIN1 = """model chain1
+params k q b c
+vars x1
+G1 = (k*x1 + q*(2*x1) - b*x1^3 + c*y1)/(2*(1 + x1^2))
+"""
+
+
+def _exact_path(model, params, **search):
+    """find_fixed_points on the canonical forms made at the point, the reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kcc.FixedPointSystem, "bind", lambda self, p: (self.model.binding(p), None)[1])
+        return find_fixed_points(model, params, **search)
+
+
+@pytest.fixture(scope="module")
+def fixed_point_models():
+    models = {name: builtin(name) for name in BUILTIN_NAMES}
+    models["chain1"] = loads(CHAIN1)
+    models["chain2"] = loads(CHAIN2)
+    return models
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_generic_fixed_points_match_exact_path(fixed_point_models, data):
+    name = data.draw(st.sampled_from(sorted(fixed_point_models)))
+    m = fixed_point_models[name]
+    params = {p: data.draw(_param) for p in m.params}
+    assume(m.compiled.fixed_points.bind(params) is not None)
+    got = find_fixed_points(m, params, box=(-4, 4), seeds=5)
+    ref = _exact_path(m, params, box=(-4, 4), seeds=5)
+    assert len(got) == len(ref), (name, params)
+    # matched by position, not list order: roots whose first coordinates
+    # agree up to rounding may sort either way
+    for b in ref:
+        (a,) = [a for a in got if max(abs(u - v) for u, v in zip(a.point, b.point)) <= 1e-9]
+        assert abs(a.denom_margin - b.denom_margin) <= 1e-12 * b.denom_margin, (name, params)
+
+
+def test_degenerate_parameters_take_the_exact_path():
+    m = loads(DEGEN)
+    system = m.compiled.fixed_points
+    # at p = 0 the x1 of the numerator cancels against the denominator's: the
+    # canonical form is x1/(x1 + 1), with the root x1 = 0
+    assert system.bind({"p": 0}) is None
+    assert [fp.point for fp in find_fixed_points(m, {"p": 0})] == [(0.0,)]
+    assert system.bind({"p": Fraction(-1, 4)}) is not None
+    fps = find_fixed_points(m, {"p": Fraction(-1, 4)})
+    assert [fp.point for fp in fps] == [(-0.5,), (0.5,)]
+    assert [fp.denom_margin for fp in fps] == [1.0, 3.0]
+    assert find_fixed_points(m, {"p": 1}) == []
+
+
+def test_two_position_denominators_in_one_sum_take_the_exact_path():
+    # at p = 1 the two denominators coincide and the canonical form is
+    # (-3 x1 - 1)/(x1 + 1); the generic pair, bound, is (x1 + 1) times that,
+    # with every coefficient nonzero, and would give the margin 4/9
+    m = loads("model twin\nparams p\nvars x1\nG1 = 1/(x1 + p) + 1/(x1 + 1) - 3\n")
+    assert m.compiled.fixed_points.bind({"p": 1}) is None
+    (fp,) = find_fixed_points(m, {"p": 1})
+    assert fp.point == pytest.approx((-1 / 3,)) and fp.denom_margin == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("source, params, certified", [
+    # the leading denominator coefficient is negative: s = -1
+    ("G1 = x1/(p*x1^2 + 1)", {"p": -1, "q": 1}, True),
+    # p = 0 drops a term over 1 + x1: the canonical form is x1 + 1, while the
+    # generic pair, bound, is (x1 + 1)^2/(x1 + 1) with no zero coefficient
+    ("G1 = x1 + 1 - p/(1 + x1)", {"p": 0, "q": 1}, False),
+    ("G1 = x1 + 1 - p/(1 + x1)", {"p": 2, "q": 1}, True),
+    # q = 0 divides by zero before the velocity is set to 0
+    ("G1 = 2*x1 + y1/q", {"p": 1, "q": 0}, False),
+    # at q = 1 the partial sum -1 + (q x1 + 1)/(x1 + 1) vanishes, which
+    # drops the factor x1 + 1 from the canonical form; the generic pair,
+    # bound, is x1 (x1 + 1)^2/(x1 + 1) with no zero coefficient
+    ("G1 = -1 + (q*x1 + 1)/(x1 + 1) + x1^2 + x1", {"p": 1, "q": 1}, False),
+    ("G1 = -1 + (q*x1 + 1)/(x1 + 1) + x1^2 + x1", {"p": 1, "q": 2}, True),
+    # p = 1 splices the inner sum into the outer one, where x1 plus its
+    # first term vanishes and drops the factor x1 + 1; the generic pair,
+    # bound, is (x1 + 1)(x1^2 + x1)/(x1 + 1) with no zero coefficient
+    ("G1 = x1 + p*(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)", {"p": 1, "q": 1}, False),
+    ("G1 = x1 + p*(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)", {"p": 2, "q": 1}, True),
+    # the same, through a quotient: at p = 1, 1/(p*(1/B)) becomes B itself
+    ("G1 = x1 + 1/(p*(1/(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)))", {"p": 1, "q": 1}, False),
+    ("G1 = x1 + 1/(p*(1/(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)))", {"p": 2, "q": 1}, True),
+])
+def test_bind_at_chosen_points(source, params, certified):
+    m = loads(f"model chosen\nparams p q\nvars x1\n{source}\n")
+    values = [Fraction(params[p]) for p in m.params]
+    bound = m.compiled.fixed_points.bind(params)
+    assert (bound is not None) == certified
+    try:
+        nums, dens, _ = _cleared_numerators(m, params)
+    except ExprError:
+        assert not certified
+        return
+    if certified:
+        (s,) = bound[1]
+        assert _bound_pair(m.compiled.fixed_points.nums[0], s, values, 1) == nums[0]
+        assert _bound_pair(m.compiled.fixed_points.dens[0], s, values, 1) == dens[0]
+
+
+def test_zeroed_term_takes_the_exact_path():
+    m = loads("model drop\nparams p\nvars x1\nG1 = x1 + 1 - p/(1 + x1)\n")
+    (fp,) = find_fixed_points(m, {"p": 0})
+    assert fp.point == (-1.0,) and fp.denom_margin == 1.0
+    m = loads("model splice\nparams p\nvars x1\nG1 = x1 + p*(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)\n")
+    assert [fp.point for fp in find_fixed_points(m, {"p": 1})] == [(-1.0,), (0.0,)]
+    m = loads("model slow\nparams q\nvars x1\nG1 = 2*x1 + y1/q\n")
+    with pytest.raises(ZeroDenominatorError, match="after substitution"):
+        find_fixed_points(m, {"q": 0})
+
+
+def test_airfoil_vanishing_cubic_coefficient_takes_the_exact_path():
+    af = builtin("airfoil")
+    params = {"Minf": Fraction(1000, 9), "V": 3}  # V^2 Minf = 1000: no x2^3 in G1
+    assert af.compiled.fixed_points.bind(params) is None
+    pairs = classify_all(af, params, box=(-4, 4))
+    assert [(fp.point, rep.verdict) for fp, rep in pairs] == [((0.0, 0.0), STABLE)]
+    assert airfoil_region_conditions(params["Minf"], params["V"]).stable_count == 1
+
+
+def test_fixed_point_search_does_no_symbolic_work_per_point(monkeypatch):
+    af = builtin("airfoil")
+    find_fixed_points(af, AIRFOIL_PARAMS, box=(-1, 1), seeds=5)  # builds the system
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symbolic work at a parameter point")
+
+    for name in ("substitute", "canonicalize", "compile_callable"):
+        monkeypatch.setattr(stability, name, forbidden)
+    for k in range(5):
+        params = {"Minf": Fraction(2017 + k, 256), "V": Fraction(83, 4)}
+        assert len(find_fixed_points(af, params, box=(-1, 1), seeds=5)) == 3
+
+
+_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+
+
+def _safe(build):
+    def apply(args):
+        try:
+            return build(*args)
+        except ZeroDenominatorError:
+            return args[0]
+    return apply
+
+
+_leaf = st.one_of(
+    st.sampled_from(["x1", "x2", "p", "q", "y1", "y2"]).map(Symbol),
+    st.sampled_from([1, 2, -1, 3, Fraction(1, 2)]).map(Constant),
+)
+_tree = st.recursive(
+    _leaf,
+    lambda sub_trees: st.one_of(
+        st.tuples(sub_trees, sub_trees).map(_safe(add)),
+        st.tuples(sub_trees, sub_trees, sub_trees).map(_safe(add)),
+        st.tuples(sub_trees, sub_trees).map(_safe(sub)),
+        st.tuples(sub_trees, sub_trees).map(_safe(mul)),
+        st.tuples(sub_trees, st.sampled_from([2, 3, -1])).map(_safe(pow_)),
+        st.tuples(sub_trees, sub_trees).map(_safe(div)),
+        # parameter factors and reciprocals, whose regrouping at p = 1 the
+        # check must see
+        st.tuples(st.sampled_from(["p", "q"]).map(Symbol), sub_trees).map(_safe(mul)),
+        st.tuples(st.just(Constant(1)), sub_trees).map(_safe(div)),
+    ),
+    max_leaves=10,
+)
+
+
+def _bound_pair(poly, s, values, n):
+    """s times poly (over positions then parameters) with the values bound."""
+    out: dict = {}
+    for m, c in poly.items():
+        v = Fraction(c)
+        for value, e in zip(values, m[n:]):
+            v *= value ** e
+        out[m[:n]] = out.get(m[:n], 0) + v
+    return {m: c * s for m, c in out.items() if c}
+
+
+@given(g1=_tree, g2=_tree)
+@settings(max_examples=60, deadline=None)
+def test_bind_certifies_only_exact_canonical_forms(g1, g2):
+    """Where `bind` accepts a point, s_i times the generic pair, bound, is
+    exactly the canonical pair made at that point; where making it fails,
+    `bind` refuses the point."""
+    m = kcc.Model("random", ("x1", "x2"), [g1, g2], params=("p", "q"))
+    system = m.compiled.fixed_points
+    for values in itertools.product(_VALUES, repeat=2):
+        params = dict(zip(m.params, values))
+        bound = system.bind(params)
+        try:
+            nums, dens, _ = _cleared_numerators(m, params)
+        except ExprError:
+            assert bound is None, (str(g1), str(g2), params)
+            continue
+        if bound is None:
+            continue
+        for i, s in enumerate(bound[1]):
+            assert _bound_pair(system.nums[i], s, values, 2) == nums[i], (str(g1), str(g2), params)
+            assert _bound_pair(system.dens[i], s, values, 2) == dens[i], (str(g1), str(g2), params)
+
+
+def test_bound_pairs_agree_with_sympy(fixed_point_models):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(104729)
+    for name, m in sorted(fixed_point_models.items()):
+        system = m.compiled.fixed_points
+        syms = {v: sympy.Symbol(v) for v in m.xs + m.ys + m.params}
+        for _ in range(2):
+            params = {p: Fraction(rng.randint(1, 64), rng.randint(1, 16)) for p in m.params}
+            values = [params[p] for p in m.params]
+            bound = system.bind(params)
+            assert bound is not None, (name, params)
+            at = {syms[p]: sympy.Rational(v.numerator, v.denominator) for p, v in params.items()}
+            at.update({syms[y]: 0 for y in m.ys})
+            for i, g in enumerate(m.G):
+                exact = sympy.cancel(sympy.sympify(str(g).replace("^", "**"), locals=syms).subs(at))
+                num, den = (
+                    sum(sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*[syms[x] ** e for x, e in zip(m.xs, k)])
+                        for k, c in _bound_pair(p, bound[1][i], values, m.n).items())
+                    for p in (system.nums[i], system.dens[i])
+                )
+                assert sympy.cancel(num / den - exact) == 0, (name, i)
+                assert sympy.cancel(num / den) == exact, (name, i)
 
 
 # ---------------------------------------------------------------------------
