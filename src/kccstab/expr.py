@@ -980,16 +980,11 @@ def _canon_pair(vars: tuple[str, ...], num: Poly, den: Poly) -> CanonicalRationa
     return CanonicalRational(vars, num, den)
 
 
-def canonicalize(
-    e: Expr, order: Sequence[str] | None = None, visit: Callable | None = None
-) -> CanonicalRational:
+def canonicalize(e: Expr, order: Sequence[str] | None = None) -> CanonicalRational:
     """Reduce an expression to its canonical numerator/denominator pair.
 
     `order` fixes the variable order (and must cover every free symbol);
-    by default the symbols of `e` in sorted order.  `visit(node, num, den)`,
-    when given, is called on every subexpression, children first and `e`
-    last, with the pair built for it before the final normalization (only
-    shared integer content is cancelled in it).
+    by default the symbols of `e` in sorted order.
     """
     if order is None:
         order = tuple(sorted(collect_symbols(e)))
@@ -999,53 +994,52 @@ def canonicalize(
         if missing:
             raise UnboundSymbolError(sorted(missing)[0])
     index = {name: i for i, name in enumerate(order)}
-    num, den = _to_pair(e, index, len(order), visit)
+    num, den = _to_pair(e, index, len(order))
     return _canon_pair(order, num, den)
 
 
-def _to_pair(e: Expr, index: Mapping[str, int], nv: int, visit=None) -> tuple[Poly, Poly]:
+def _to_pair(e: Expr, index: Mapping[str, int], nv: int) -> tuple[Poly, Poly]:
     one = p_const(1, nv)
     if isinstance(e, Constant):
-        num, den = p_const(e.value.numerator, nv), p_const(e.value.denominator, nv)
-    elif isinstance(e, Symbol):
+        return p_const(e.value.numerator, nv), p_const(e.value.denominator, nv)
+    if isinstance(e, Symbol):
         m = [0] * nv
         m[index[e.name]] = 1
-        num, den = {tuple(m): 1}, one
-    elif isinstance(e, Add):
-        num, den = _to_pair(e.args[0], index, nv, visit)
+        return {tuple(m): 1}, one
+    if isinstance(e, Add):
+        num, den = _to_pair(e.args[0], index, nv)
         for a in e.args[1:]:
-            n2, d2 = _to_pair(a, index, nv, visit)
+            n2, d2 = _to_pair(a, index, nv)
             if den == d2:
                 num = p_add(num, n2)
             else:
                 num = p_add(p_mul(num, d2), p_mul(n2, den))
                 den = p_mul(den, d2)
             num, den = _reduce_pair(num, den, nv)
-    elif isinstance(e, Mul):
+        return num, den
+    if isinstance(e, Mul):
         num, den = one, one
         for a in e.args:
-            n2, d2 = _to_pair(a, index, nv, visit)
+            n2, d2 = _to_pair(a, index, nv)
             num = p_mul(num, n2)
             den = p_mul(den, d2)
             num, den = _reduce_pair(num, den, nv)
-    elif isinstance(e, Pow):
-        n, d = _to_pair(e.base, index, nv, visit)
+        return num, den
+    if isinstance(e, Pow):
+        n, d = _to_pair(e.base, index, nv)
         if e.exp < 0:
             if not n:
                 raise ZeroDenominatorError(e.base)
             n, d = d, n
-        num, den = p_pow(n, abs(e.exp), nv), p_pow(d, abs(e.exp), nv)
-    elif isinstance(e, Div):
-        n1, d1 = _to_pair(e.num, index, nv, visit)
-        n2, d2 = _to_pair(e.den, index, nv, visit)
+            return p_pow(n, -e.exp, nv), p_pow(d, -e.exp, nv)
+        return p_pow(n, e.exp, nv), p_pow(d, e.exp, nv)
+    if isinstance(e, Div):
+        n1, d1 = _to_pair(e.num, index, nv)
+        n2, d2 = _to_pair(e.den, index, nv)
         if not n2:
             raise ZeroDenominatorError(e.den)
-        num, den = _reduce_pair(p_mul(n1, d2), p_mul(d1, n2), nv)
-    else:  # pragma: no cover
-        raise TypeError(type(e))
-    if visit is not None:
-        visit(e, num, den)
-    return num, den
+        return _reduce_pair(p_mul(n1, d2), p_mul(d1, n2), nv)
+    raise TypeError(type(e))  # pragma: no cover
 
 
 def _reduce_pair(num: Poly, den: Poly, nv: int) -> tuple[Poly, Poly]:

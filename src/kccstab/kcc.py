@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
-    ONE,
     Add,
     Div,
     Expr,
@@ -39,9 +38,7 @@ from .expr import (
     div,
     mul,
     neg,
-    p_add,
     p_diff,
-    p_neg,
     p_to_expr,
     sub,
     substitute,
@@ -366,15 +363,18 @@ class CompiledModel:
     deviation_blocks  symbolic (A21, A22) = (-2 dG/dx, -2 N)
     curvature         P, n*n entries
     deviation         A21 then A22, 2*n*n entries
-    fixed_points      the FixedPointSystem: G at y = 0 as canonical pairs
-                      over `xs + params`, with its numerators, Jacobian and
-                      denominators compiled over `xs + params` and the
-                      exact check `bind` for one parameter point
+    fixed_points      the FixedPointSystem: for a model in which no divisor
+                      of G at y = 0 involves a position, G at y = 0 as
+                      canonical pairs over `xs + params`, with its
+                      numerators, Jacobian and denominators compiled over
+                      `xs + params` and the exact check `bind` for one
+                      parameter point
 
     Parameter values never enter this data.  The one exact step per
     parameter point is `fixed_points.bind`, which binds the values into the
-    coefficients in integer arithmetic; a point it refuses takes the
-    per-point forms of the fixed-point search.
+    coefficients in integer arithmetic; a point it refuses, and every point
+    of a model without generic pairs, takes the per-point forms of the
+    fixed-point search.
     """
 
     __slots__ = ("model", "_invariants", "_blocks", "_curvature", "_deviation", "_fixed_points")
@@ -464,13 +464,18 @@ class FixedPointSystem:
     """G at y = 0 as canonical polynomial pairs over `xs + params`, built once.
 
     nums, dens    the canonical (numerator, denominator) pair of each G_i at
-                  y = 0 over the variables `xs + params`
+                  y = 0 over the variables `xs + params`; each denominator
+                  is a polynomial in the parameters alone
     evaluators    (numerators, Jacobian d nums_i / d x_j row-major,
                   denominators), compiled over `xs + params`
 
-    All three are None for a model whose pairs never stand for the forms
-    at a parameter point (see `bind`); every point of such a model takes
-    the exact per-point path of the fixed-point search.
+    They are built only for a model in which no divisor of G, with the
+    velocities set to 0, involves a position (airfoil and tractor_seat
+    among the built-ins).  G at y = 0 and a parameter point is then a
+    polynomial in the positions, whose canonical pair is unique, so the
+    generic pair with the values bound is that pair up to a constant
+    (see `bind`).  All three are None for any other model, and every point
+    of it takes the exact per-point path of the fixed-point search.
     """
 
     __slots__ = ("model", "nums", "dens", "evaluators", "_binder", "_checks", "_coeffs", "_limit")
@@ -493,19 +498,15 @@ class FixedPointSystem:
         except ExprError:  # the exact path reports it, at every point
             self.nums = self.dens = self.evaluators = None
             return
-        # the checks, then the coefficients of each numerator and denominator
+        # the checks, then the coefficients of each numerator and, last, the
+        # one coefficient of its denominator
         polys = list(checks)
         self._coeffs = []
         for pair in zip(self.nums, self.dens):
-            num, den = (_by_position(p, n) for p in pair)
             start = len(polys)
-            polys += list(num.values()) + list(den.values())
-            lead = max(den, key=lambda m: (sum(m), m))  # graded-lex leading monomial
-            self._coeffs.append((
-                range(start, start + len(num)),
-                range(start + len(num), len(polys)),
-                list(den).index(lead),
-            ))
+            for p in pair:
+                polys += _by_position(p, n).values()
+            self._coeffs.append(range(start, len(polys)))
         self._checks = len(checks)
         self._binder = _ParameterBinder(polys, len(model.params))
         # Float evaluation of the generic forms stays in range when no
@@ -524,18 +525,17 @@ class FixedPointSystem:
         G_i, the exact constant s_i with which s_i * nums[i] and s_i *
         dens[i], the values bound, are the canonical pair of G_i at y = 0
         and this point (the parameter values substituted, then
-        canonicalized over `xs`).  Returns None when that is not certain;
-        the caller then takes that exact per-point path.  The pairs stand
-        for the point when every position monomial of each generic
-        numerator and denominator keeps a nonzero coefficient, and when
-        every parameter polynomial of the structural checks made once per
-        model is nonzero there: no subexpression of G at y = 0, nor any
-        denominator of G taken at y = 0, has a zero numerator or
-        denominator, a sum regroups no terms, and no partial sum after a
-        term with a position-dependent denominator vanishes.  A point with
-        a parameter too large or too small for the float evaluation of the
-        generic forms, or whose exact pair does not fit in floats, is also
-        left to the exact path.  Unknown or missing parameters raise
+        canonicalized over `xs`).  Where the canonical numerator and
+        denominator of every divisor of G at y = 0 are nonzero, G is
+        defined at the point; where dens[i] is nonzero too, G_i there is
+        the polynomial nums[i]/dens[i] in the positions, and s_i divides
+        out the integer content and makes the denominator positive.
+        Returns None, and the caller takes that exact per-point path, when
+        one of those is zero, when a numerator coefficient vanishes at the
+        point (its float evaluation would not), when a parameter is too
+        large or too small for the float evaluation of the generic forms,
+        when the exact pair does not fit in floats, and for a model
+        without generic pairs.  Unknown or missing parameters raise
         ModelError (see Model.binding).
         """
         bind = self.model.binding(params)
@@ -550,15 +550,14 @@ class FixedPointSystem:
         if not all(value(i, weights) for i in range(self._checks)):
             return None
         scales = []
-        for num_idx, den_idx, lead in self._coeffs:
-            num = [value(i, weights) for i in num_idx]
-            den = [value(i, weights) for i in den_idx]
-            if not (all(num) and all(den)):
+        for idx in self._coeffs:
+            coeffs = [value(i, weights) for i in idx]
+            if not all(coeffs):
                 return None
-            g = math.gcd(*num, *den)
-            if max(abs(c) for c in num + den) // g >= 1 << 1000:
+            g = math.gcd(*coeffs)
+            if max(abs(c) for c in coeffs) // g >= 1 << 1000:
                 return None
-            s = Fraction(scale if den[lead] > 0 else -scale, g)
+            s = Fraction(scale if coeffs[-1] > 0 else -scale, g)
             try:
                 if float(s) == 0.0:
                     return None
@@ -606,9 +605,11 @@ class _ParameterBinder:
 def _generic_fixed_point_pairs(model: Model):
     """Generic pairs of G at y = 0 and the checks for `FixedPointSystem.bind`.
 
-    Returns (nums, dens, checks), checks being polynomials in the
-    parameters that must all be nonzero at a point, or None when no point
-    can be certified.
+    Returns (nums, dens, checks), or None when a divisor of G, with the
+    velocities set to 0, involves a position.  The checks are the
+    canonical numerator and denominator of each such divisor, polynomials
+    in the parameters that must be nonzero at a point; a divisor that is
+    identically zero gives the empty check, which no point passes.
     """
     n = model.n
     order = model.xs + model.params
@@ -616,109 +617,19 @@ def _generic_fixed_point_pairs(model: Model):
     zeros = {y: 0 for y in model.ys}
     checks: dict = {}
     nums, dens = [], []
-
-    def require(p: Poly) -> bool:
-        """Add the check that p is nonzero; False when it is identically zero."""
-        if not p:
-            return False
-        if len(p) == 1:  # a monomial: each parameter in it nonzero
-            (m, _), = p.items()
-            for k, e in enumerate(m):
-                if e:
-                    unit = tuple(int(i == k) for i in range(len(m)))
-                    checks[((unit, 1),)] = {unit: 1}
-        else:
-            checks[tuple(sorted(p.items()))] = p
-        return True
-
-    def pair_of(e: Expr) -> tuple[Poly, Poly]:
-        found = []
-        canonicalize(e, order, lambda node, num, den: found.append((num, den)))
-        return found[-1]
-
     for g in model.G:
-        nodes = []
-
-        def visit(node, num, den):
-            nodes.append((node, num, den))
-
-        for d in _divisors(g):  # a divisor that vanishes at the point raises there
-            canonicalize(substitute(d, zeros), order, visit)
-        t = substitute(g, zeros)
-        cr = canonicalize(t, order, visit)
-        pairs = {id(node): (num, den) for node, num, den in nodes}
-        for node, num, den in nodes:
-            if not (require(_witness(num, n)) and require(_witness(den, n))):
+        for d in _divisors(g):
+            d = substitute(d, zeros)
+            if collect_symbols(d) & positions:
                 return None
-            for p in _shape_checks(node, pairs, positions, n, pair_of):
-                if not require(p):
-                    return None
+            cr = canonicalize(d, order)
+            for p in (cr.num, cr.den):
+                check = {m[n:]: c for m, c in p.items()}
+                checks[tuple(sorted(check.items()))] = check
+        cr = canonicalize(substitute(g, zeros), order)
         nums.append(cr.num)
         dens.append(cr.den)
     return nums, dens, list(checks.values())
-
-
-def _shape_checks(node: Expr, pairs, positions: set, n: int, pair_of) -> list[Poly]:
-    """Parameter polynomials that keep one node's shape at a point.
-
-    Substituting the parameter values turns the parameter-only parts into
-    constants, and the simplifying constructors then regroup a node when a
-    constant factor is 1 (the product, or quotient, becomes its one other
-    factor: a sum spliced into the sum around it, or a quotient that a
-    quotient divides by) or when the constant terms of a sum with one other
-    term add up to 0.  A sum's canonical form also matches the generic one
-    only when at most one term has a position-dependent denominator (two
-    such denominators can coincide at a point, or differ by an integer
-    factor, and are then merged or not) and no partial sum containing that
-    term vanishes.  An empty polynomial in the result makes no point
-    certifiable.
-    """
-    if isinstance(node, Mul) or isinstance(node, Div) and not collect_symbols(node.den) & positions:
-        factor, core = _core(node, positions)
-        if len(core) == 1 and isinstance(core[0], (Add, Div)):
-            num, den = pair_of(factor)
-            return [{m[n:]: c for m, c in p_add(num, p_neg(den)).items()}]
-        return []
-    if not isinstance(node, Add):
-        return []
-    args = node.args
-    free = [a for a in args if not collect_symbols(a) & positions]
-    terms = [a for a in args if collect_symbols(a) & positions]
-    out = []
-    if free and len(terms) == 1:
-        out.append({m[n:]: c for m, c in pair_of(add(*free))[0].items()})
-    varying = [k for k, a in enumerate(terms) if any(any(m[:n]) for m in pairs[id(a)][1])]
-    if len(varying) > 1:
-        return [{}]
-    if varying:
-        j = varying[0]
-        # the generic pair sums the terms in their written order; a partial
-        # sum that vanishes identically there would drop its denominator
-        at = next(i for i, a in enumerate(args) if a is terms[j])
-        for k in range(at + 1, len(args)):
-            if not pair_of(add(*args[:k]))[0]:
-                return [{}]
-        # at a point, the parameter-only terms come first, as one constant
-        for k in range(j + 1, len(terms)):
-            out.append(_witness(pair_of(add(*free, *terms[:k]))[0], n))
-    return out
-
-
-def _core(e: Expr, positions: set) -> tuple[Expr, list[Expr]]:
-    """Split a term into its parameter-only factor and its other factors."""
-    if not collect_symbols(e) & positions:
-        return e, []
-    if isinstance(e, Mul):
-        factors, core = [], []
-        for a in e.args:
-            f, c = _core(a, positions)
-            factors.append(f)
-            core.extend(c)
-        return mul(*factors), core
-    if isinstance(e, Div) and not collect_symbols(e.den) & positions:
-        f, core = _core(e.num, positions)
-        return div(f, e.den), core
-    return ONE, [e]
 
 
 def _divisors(e: Expr) -> list[Expr]:
@@ -742,12 +653,6 @@ def _by_position(p: Poly, n: int) -> dict:
     for m, c in p.items():
         out.setdefault(m[:n], {})[m[n:]] = c
     return out
-
-
-def _witness(p: Poly, n: int) -> Poly:
-    """A parameter polynomial nonzero at a point only if p stays nonzero:
-    the coefficient of one position monomial of p, the one with fewest terms."""
-    return min(_by_position(p, n).values(), key=len, default={})
 
 
 # --------------------------------------------------------------------------

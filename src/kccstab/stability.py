@@ -233,15 +233,16 @@ def find_fixed_points(
 
     The numerators and denominators are those of the canonical form of each
     G_i at y = 0 at this parameter point, and `FixedPoint.residual` and
-    `denom_margin` are measured on them.  They are derived and compiled
-    once per model over the positions and the parameters
-    (`model.compiled.fixed_points`); `FixedPointSystem.bind` checks exactly
-    at each point that the generic forms, the values bound, are the
-    canonical ones up to a constant factor s_i per G_i, and the margin is
-    taken on s_i times the generic denominator.  At a point where that
-    check fails (a parameter value that zeroes a coefficient, cancels a
-    term or a denominator) the values are substituted and G at y = 0
-    canonicalized and compiled for this call alone, as the definition reads.
+    `denom_margin` are measured on them.  For a model in which no divisor
+    of G at y = 0 involves a position they are derived and compiled once
+    over the positions and the parameters (`model.compiled.fixed_points`);
+    `FixedPointSystem.bind` checks exactly at each point that the generic
+    forms, the values bound, are the canonical ones up to a constant factor
+    s_i per G_i, and the margin is taken on s_i times the generic
+    denominator.  For any other model, and at a point where that check
+    fails (a divisor that vanishes or a coefficient that does), the values
+    are substituted and G at y = 0 canonicalized and compiled for this call
+    alone, as the definition reads.
     """
     n = model.n
     bounds = _normalize_box(box, n)
@@ -296,7 +297,13 @@ def find_fixed_points(
         if any(max(abs(a - b) for a, b in zip(pt, q.point)) <= dedup_radius for q in found):
             continue
         found.append(FixedPoint(point=pt, residual=float(r), denom_margin=float(d)))
-    return sorted(found, key=lambda fp: fp.point)
+    return _in_print_order(found)
+
+
+def _in_print_order(points: list[FixedPoint]) -> list[FixedPoint]:
+    """Sort lexicographically on the coordinates as printed (12 significant
+    digits), so roots that agree up to rounding order by their next coordinate."""
+    return sorted(points, key=lambda fp: tuple(float(f"{c:.12g}") for c in fp.point))
 
 
 def _on_rows(fn, x: np.ndarray, values: Sequence[float] = ()) -> np.ndarray:

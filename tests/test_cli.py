@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -347,6 +348,15 @@ def test_fixed_points_formats(capsys):
     rows = list(csv.reader(out.splitlines()))
     assert rows[0] == ["#", "x1", "x2", "residual", "denom_margin"]
     assert len(rows) == 5
+
+
+def test_fixed_points_print_sorted(capsys):
+    # the x1 of both positive roots prints as 1.875, whatever its last bit
+    rc, out, _ = run(capsys, ["fixed-points", "--model", "wound_strings", "--params",
+                              "a=1/4,C=5/4,m=3/4", "--box", "-4:4", "--seeds", "5"])
+    assert rc == 0
+    points = re.findall(r"x = (\(.*?\))", out)
+    assert points == ["(-1.875, -0.625)", "(-1.875, 0.625)", "(1.875, -0.625)", "(1.875, 0.625)"]
 
 
 def test_out_flag_redirects_text(capsys, tmp_path):

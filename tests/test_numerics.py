@@ -84,6 +84,39 @@ def test_rk4_fourth_order_convergence():
         assert 8 <= coarse / fine <= 32  # dt^4 scaling within a factor of 2
 
 
+# (model, params, x0, y0, t_end, dt): short windows with enough motion that
+# the RK4 error at dt and at dt/2 stands well above the reference's; the
+# tractor seat is unstable, so its window is shorter
+SCIPY_RUNS = [
+    ("wound_strings", WS_PARAMS, [2.3, 0.8], [0.3, -0.4], 2.0, 0.05),
+    ("airfoil", AIRFOIL_PARAMS, [0.3, -0.1], [0.5, 0.2], 2.0, 0.2),
+    ("tractor_seat", TRACTOR_PARAMS, [0.02, -0.03, 0.01], [0.5, 0.0, -0.2], 0.25, 0.00625),
+]
+
+
+def _relative_error_against_dop853(model, params, x0, y0, t_end, dt):
+    """max |RK4 state - DOP853 state| over the run, relative to the largest
+    reference state component."""
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    accel = compile_callable([mul(-2, g) for g in model.g_bound(params)], model.xs + model.ys)
+    n = model.n
+    tr = integrate(model, params, (x0, y0), t_end, dt)
+    ref = scipy_integrate.solve_ivp(
+        lambda t, z: [*z[n:], *accel(*z)], (0.0, tr.times[-1]), [*x0, *y0],
+        method="DOP853", rtol=1e-12, atol=1e-12, t_eval=tr.times,
+    ).y.T
+    return np.abs(tr.states - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name, params, x0, y0, t_end, dt", SCIPY_RUNS)
+def test_integrate_matches_dop853(name, params, x0, y0, t_end, dt):
+    m = builtin(name)
+    assert _relative_error_against_dop853(m, params, x0, y0, t_end, 1e-3) < 1e-6
+    coarse, fine = (_relative_error_against_dop853(m, params, x0, y0, t_end, h)
+                    for h in (dt, dt / 2))
+    assert 12 <= coarse / fine <= 20, (coarse, fine)  # fourth order: 16
+
+
 def test_integrate_argument_validation():
     with pytest.raises(ValueError):
         integrate(oscillator(), None, ([0.0], [1.0]), 1.0, 0.0)
@@ -314,6 +347,17 @@ def test_matrix_exp_known_values():
     assert np.allclose(matrix_exp(A), np.diag([np.e, np.exp(-2)]), rtol=1e-13)
     N = np.array([[0.0, 3.0], [0.0, 0.0]])  # nilpotent: exp = I + N
     assert np.allclose(matrix_exp(N), np.eye(2) + N, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_matrix_exp_matches_scipy(n):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(n)
+    for norm in (0.1, 1.0, 5.0, 20.0, 50.0):  # up to 7 squarings
+        A = rng.standard_normal((n, n))
+        A *= norm / np.linalg.norm(A, 1)
+        ref = linalg.expm(A)
+        assert np.linalg.norm(matrix_exp(A) - ref, 1) <= 1e-11 * np.linalg.norm(ref, 1), norm
 
 
 def test_non_uniform_times_supported():
