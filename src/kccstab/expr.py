@@ -792,6 +792,41 @@ def p_eval(p: Poly, vals: Sequence) -> object:
     return total
 
 
+class ParameterBinder:
+    """Integer polynomials evaluated exactly at one rational point.
+
+    Every value is scaled by the same positive integer W = prod_k b_k^d_k
+    (b_k the denominator of variable k, d_k its largest exponent), so the
+    scaled values are integers: one sum of integer products each.
+    """
+
+    __slots__ = ("monos", "degrees", "terms")
+
+    def __init__(self, polys: list[Poly], nvars: int):
+        self.monos = sorted({m for p in polys for m in p})
+        index = {m: i for i, m in enumerate(self.monos)}
+        self.degrees = [max((m[k] for m in self.monos), default=0) for k in range(nvars)]
+        self.terms = [[(c, index[m]) for m, c in p.items()] for p in polys]
+
+    def weights(self, values: Sequence[Fraction]) -> tuple[list[int], int]:
+        """W times each monomial at the point, and W."""
+        tables, scale = [], 1
+        for v, d in zip(values, self.degrees):
+            a, b = v.numerator, v.denominator
+            tables.append([a ** e * b ** (d - e) for e in range(d + 1)])
+            scale *= b ** d
+        weights = []
+        for m in self.monos:
+            w = 1
+            for table, e in zip(tables, m):
+                w *= table[e]
+            weights.append(w)
+        return weights, scale
+
+    def value(self, i: int, weights: Sequence[int]) -> int:
+        return sum(c * weights[j] for c, j in self.terms[i])
+
+
 def p_content(p: Poly) -> int:
     g = 0
     for c in p.values():

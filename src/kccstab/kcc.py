@@ -24,6 +24,7 @@ from .expr import (
     Expr,
     ExprError,
     Mul,
+    ParameterBinder,
     Poly,
     Pow,
     Symbol,
@@ -39,7 +40,8 @@ from .expr import (
     mul,
     neg,
     p_diff,
-    p_to_expr,
+    p_sorted,
+    pow_,
     sub,
     substitute,
     to_float,
@@ -365,19 +367,18 @@ class CompiledModel:
     deviation         A21 then A22, 2*n*n entries
     fixed_points      the FixedPointSystem: for a model in which no divisor
                       of G at y = 0 involves a position, G at y = 0 as
-                      canonical pairs over `xs + params`, with its
-                      numerators, Jacobian and denominators compiled over
-                      `xs + params` and the exact check `bind` for one
-                      parameter point
+                      canonical pairs over `xs + params`, and `bind`, which
+                      makes the exact pairs at one parameter point from them
 
-    Parameter values never enter this data.  The one exact step per
-    parameter point is `fixed_points.bind`, which binds the values into the
-    coefficients in integer arithmetic; a point it refuses, and every point
-    of a model without generic pairs, takes the per-point forms of the
-    fixed-point search.
+    Parameter values never enter this data.  The fixed-point search
+    evaluates exact pairs over `xs`, from `bind` or made at the point,
+    through `fixed_point_forms`, whose functions take the coefficients as
+    arguments and are compiled once per monomial support.
     """
 
-    __slots__ = ("model", "_invariants", "_blocks", "_curvature", "_deviation", "_fixed_points")
+    __slots__ = (
+        "model", "_invariants", "_blocks", "_curvature", "_deviation", "_fixed_points", "_forms"
+    )
 
     def __init__(self, model: Model):
         self.model = model
@@ -386,6 +387,7 @@ class CompiledModel:
         self._curvature = None
         self._deviation = None
         self._fixed_points = None
+        self._forms = {}
 
     @property
     def invariants(self) -> KccInvariants:
@@ -420,6 +422,31 @@ class CompiledModel:
         if self._fixed_points is None:
             self._fixed_points = FixedPointSystem(self.model)
         return self._fixed_points
+
+    def fixed_point_forms(
+        self, nums: Sequence[Poly], dens: Sequence[Poly]
+    ) -> tuple[tuple[Callable, tuple[float, ...]], ...]:
+        """Evaluators of exact pairs over `xs`, as (function, coefficients).
+
+        Returns them for the numerators, their Jacobian d nums_i / d x_j
+        row-major and the denominators; `fn(*point, *coefficients)` gives
+        the values.  Each polynomial is a sum of coefficient argument times
+        position monomial, with the terms in the order `p_to_expr` gives
+        them, so the values are bit-identical to those of `p_to_expr(p, xs)`
+        compiled with its coefficients embedded.  A function is compiled
+        once per tuple of monomial supports and kept; a coefficient beyond
+        the float range is an ExprError, as an embedded one is.
+        """
+        n = self.model.n
+        jac = [p_diff(p, j) for p in nums for j in range(n)]
+        terms = [[_terms(p) for p in polys] for polys in (nums, jac, dens)]
+        # the Jacobian's coefficients, multiples of the numerators', are
+        # converted last, so a range error names a coefficient of G first
+        coeffs = {k: tuple(to_float(c) for t in terms[k] for _, c in t) for k in (0, 2, 1)}
+        key = tuple(tuple(m for m, _ in t) for t in terms[0] + terms[2])
+        if key not in self._forms:
+            self._forms[key] = tuple(_sum_of_terms(group, n) for group in terms)
+        return tuple(zip(self._forms[key], [coeffs[k] for k in range(3)]))
 
     def _compile(self, *matrices) -> Callable:
         m = self.model
@@ -466,140 +493,76 @@ class FixedPointSystem:
     nums, dens    the canonical (numerator, denominator) pair of each G_i at
                   y = 0 over the variables `xs + params`; each denominator
                   is a polynomial in the parameters alone
-    evaluators    (numerators, Jacobian d nums_i / d x_j row-major,
-                  denominators), compiled over `xs + params`
 
     They are built only for a model in which no divisor of G, with the
     velocities set to 0, involves a position (airfoil and tractor_seat
     among the built-ins).  G at y = 0 and a parameter point is then a
-    polynomial in the positions, whose canonical pair is unique, so the
-    generic pair with the values bound is that pair up to a constant
-    (see `bind`).  All three are None for any other model, and every point
-    of it takes the exact per-point path of the fixed-point search.
+    polynomial in the positions over a constant, whose canonical pair is
+    unique, so `bind` can make it from nums and dens in integer arithmetic.
+    Both are None for any other model, and every point of it takes the
+    per-point path of the fixed-point search.
     """
 
-    __slots__ = ("model", "nums", "dens", "evaluators", "_binder", "_checks", "_coeffs", "_limit")
+    __slots__ = ("model", "nums", "dens", "_binder", "_checks", "_coeffs")
 
     def __init__(self, model: Model):
         self.model = model
-        self.nums = self.dens = self.evaluators = self._binder = None
+        self.nums = self.dens = self._binder = None
         try:
             derived = _generic_fixed_point_pairs(model)
-            if derived is None:
-                return
-            self.nums, self.dens, checks = derived
-            order = model.xs + model.params
-            n = model.n
-            jac = [p_diff(self.nums[i], j) for i in range(n) for j in range(n)]
-            self.evaluators = tuple(
-                compile_callable([p_to_expr(p, order) for p in polys], order)
-                for polys in (self.nums, jac, self.dens)
-            )
-        except ExprError:  # the exact path reports it, at every point
-            self.nums = self.dens = self.evaluators = None
+        except ExprError:  # the per-point path reports it, at every point
             return
-        # the checks, then the coefficients of each numerator and, last, the
-        # one coefficient of its denominator
+        if derived is None:
+            return
+        self.nums, self.dens, checks = derived
+        n = model.n
+        # the checks, then the coefficients of each numerator by position
+        # monomial and, last, the one coefficient of its denominator
         polys = list(checks)
         self._coeffs = []
-        for pair in zip(self.nums, self.dens):
+        for num, den in zip(self.nums, self.dens):
+            by_position = _by_position(num, n)
             start = len(polys)
-            for p in pair:
-                polys += _by_position(p, n).values()
-            self._coeffs.append(range(start, len(polys)))
+            polys += [*by_position.values(), *_by_position(den, n).values()]
+            self._coeffs.append((tuple(by_position), range(start, len(polys))))
         self._checks = len(checks)
-        self._binder = _ParameterBinder(polys, len(model.params))
-        # Float evaluation of the generic forms stays in range when no
-        # parameter is further than 2^limit from 1 in magnitude.
-        every = self.nums + self.dens + jac
-        bits = max((abs(c).bit_length() for p in every for c in p.values()), default=0)
-        degree = max((sum(m[n:]) for p in every for m in p), default=0)
-        self._limit = (1000 - bits) // max(degree, 1)
+        self._binder = ParameterBinder(polys, len(model.params))
 
     def bind(
         self, params: Mapping[str, Fraction | float] | None
-    ) -> tuple[tuple[float, ...], tuple[Fraction, ...]] | None:
-        """Exact check of the generic pairs at one parameter point.
+    ) -> tuple[list[Poly], list[Poly]] | None:
+        """The canonical pairs of G at y = 0 at one parameter point.
 
-        Returns the parameter values as evaluator arguments and, for each
-        G_i, the exact constant s_i with which s_i * nums[i] and s_i *
-        dens[i], the values bound, are the canonical pair of G_i at y = 0
-        and this point (the parameter values substituted, then
-        canonicalized over `xs`).  Where the canonical numerator and
-        denominator of every divisor of G at y = 0 are nonzero, G is
+        Returns (nums, dens) over `xs`, equal to the canonical pairs made
+        by substituting the values and canonicalizing
+        (`stability._cleared_numerators`).  Where the canonical numerator
+        and denominator of every divisor of G at y = 0 are nonzero, G is
         defined at the point; where dens[i] is nonzero too, G_i there is
-        the polynomial nums[i]/dens[i] in the positions, and s_i divides
-        out the integer content and makes the denominator positive.
-        Returns None, and the caller takes that exact per-point path, when
-        one of those is zero, when a numerator coefficient vanishes at the
-        point (its float evaluation would not), when a parameter is too
-        large or too small for the float evaluation of the generic forms,
-        when the exact pair does not fit in floats, and for a model
-        without generic pairs.  Unknown or missing parameters raise
-        ModelError (see Model.binding).
+        the polynomial nums[i]/dens[i] in the positions, and its canonical
+        pair is the bound integer coefficients over their gcd, signed so
+        that the constant denominator is positive.  Returns None, and the
+        caller makes the pairs at the point, when one of those is zero,
+        when a numerator coefficient vanishes (so every returned pair has
+        the generic support), and for a model without generic pairs.
+        Unknown or missing parameters raise ModelError (see Model.binding).
         """
         bind = self.model.binding(params)
         if self._binder is None:
             return None
-        values = [bind[p] for p in self.model.params]
-        for v in values:
-            if v and abs(v.numerator.bit_length() - v.denominator.bit_length()) > self._limit:
-                return None
-        weights, scale = self._binder.weights(values)
+        weights, _ = self._binder.weights([bind[p] for p in self.model.params])
         value = self._binder.value
         if not all(value(i, weights) for i in range(self._checks)):
             return None
-        scales = []
-        for idx in self._coeffs:
+        constant = (0,) * self.model.n
+        nums, dens = [], []
+        for monos, idx in self._coeffs:
             coeffs = [value(i, weights) for i in idx]
             if not all(coeffs):
                 return None
-            g = math.gcd(*coeffs)
-            if max(abs(c) for c in coeffs) // g >= 1 << 1000:
-                return None
-            s = Fraction(scale if coeffs[-1] > 0 else -scale, g)
-            try:
-                if float(s) == 0.0:
-                    return None
-            except OverflowError:
-                return None
-            scales.append(s)
-        return tuple(float(v) for v in values), tuple(scales)
-
-
-class _ParameterBinder:
-    """Polynomials in the parameters, evaluated exactly at a rational point.
-
-    Every value is scaled by the same positive integer W = prod_k b_k^d_k
-    (b_k the denominator of parameter k, d_k its largest exponent), so the
-    scaled values are integers: one sum of integer products each.
-    """
-
-    __slots__ = ("monos", "degrees", "terms")
-
-    def __init__(self, polys: list[Poly], nparams: int):
-        self.monos = sorted({m for p in polys for m in p})
-        index = {m: i for i, m in enumerate(self.monos)}
-        self.degrees = [max((m[k] for m in self.monos), default=0) for k in range(nparams)]
-        self.terms = [[(c, index[m]) for m, c in p.items()] for p in polys]
-
-    def weights(self, values: Sequence[Fraction]) -> tuple[list[int], int]:
-        """W times each parameter monomial at the point, and W."""
-        tables, scale = [], 1
-        for v, d in zip(values, self.degrees):
-            a, b = v.numerator, v.denominator
-            tables.append([a ** e * b ** (d - e) for e in range(d + 1)])
-            scale *= b ** d
-        weights = []
-        for m in self.monos:
-            w = 1
-            for table, e in zip(tables, m):
-                w *= table[e]
-            weights.append(w)
-        return weights, scale
-
-    def value(self, i: int, weights: Sequence[int]) -> int:
-        return sum(c * weights[j] for c, j in self.terms[i])
+            g = math.gcd(*coeffs) if coeffs[-1] > 0 else -math.gcd(*coeffs)
+            nums.append({m: c // g for m, c in zip(monos, coeffs)})
+            dens.append({constant: coeffs[-1] // g})
+        return nums, dens
 
 
 def _generic_fixed_point_pairs(model: Model):
@@ -653,6 +616,27 @@ def _by_position(p: Poly, n: int) -> dict:
     for m, c in p.items():
         out.setdefault(m[:n], {})[m[n:]] = c
     return out
+
+
+def _terms(p: Poly) -> list:
+    """p's terms as p_to_expr sums them: graded-lex descending, constant first."""
+    terms = p_sorted(p)
+    if terms and not any(terms[-1][0]):
+        terms.insert(0, terms.pop())
+    return terms
+
+
+def _sum_of_terms(polys: list[list], n: int) -> Callable:
+    """A compiled function of (x_1..x_n, c_1..c_k) returning, for each term
+    list, the sum of its coefficient arguments times its monomials."""
+    xs = [Symbol(f"x{j}") for j in range(n)]
+    cs = [Symbol(f"c{k}") for k in range(sum(map(len, polys)))]
+    c = iter(cs)
+    exprs = [
+        add(*[mul(next(c), *[pow_(x, e) for x, e in zip(xs, m) if e]) for m, _ in terms])
+        for terms in polys
+    ]
+    return compile_callable(exprs, [s.name for s in xs + cs])
 
 
 # --------------------------------------------------------------------------

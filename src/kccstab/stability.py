@@ -27,17 +27,17 @@ from .expr import (
     BudgetExceededError,
     CanonicalRational,
     Expr,
+    ParameterBinder,
     Poly,
     ZeroDenominatorError,
     canonicalize,
     compile_callable,
     det,
     p_const,
-    p_diff,
     p_mul,
     p_str,
-    p_to_expr,
     parse,
+    poly_of,
     substitute,
 )
 from .kcc import Model, ModelError
@@ -193,16 +193,15 @@ def _normalize_box(box, n: int) -> list[tuple[float, float]]:
     return out
 
 
-def _cleared_numerators(model: Model, params) -> tuple[list, list, tuple[str, ...]]:
+def _cleared_numerators(model: Model, params) -> tuple[list[Poly], list[Poly]]:
     """Canonical (numerator, denominator) polynomial pairs of G_i at y = 0."""
     zeros = {y: 0 for y in model.ys}
-    order = model.xs
     nums, dens = [], []
     for g in model.g_bound(params):
-        cr = canonicalize(substitute(g, zeros), order)
+        cr = canonicalize(substitute(g, zeros), model.xs)
         nums.append(cr.num)
         dens.append(cr.den)
-    return nums, dens, order
+    return nums, dens
 
 
 def find_fixed_points(
@@ -231,33 +230,23 @@ def find_fixed_points(
     `dedup_radius` (max-norm) collapse, earlier seeds first; results sort
     lexicographically.
 
-    The numerators and denominators are those of the canonical form of each
-    G_i at y = 0 at this parameter point, and `FixedPoint.residual` and
-    `denom_margin` are measured on them.  For a model in which no divisor
-    of G at y = 0 involves a position they are derived and compiled once
-    over the positions and the parameters (`model.compiled.fixed_points`);
-    `FixedPointSystem.bind` checks exactly at each point that the generic
-    forms, the values bound, are the canonical ones up to a constant factor
-    s_i per G_i, and the margin is taken on s_i times the generic
-    denominator.  For any other model, and at a point where that check
-    fails (a divisor that vanishes or a coefficient that does), the values
-    are substituted and G at y = 0 canonicalized and compiled for this call
-    alone, as the definition reads.
+    The numerators and denominators are the canonical (numerator,
+    denominator) pairs of the G_i at y = 0 at this parameter point, and
+    `FixedPoint.residual` and `denom_margin` are measured on them.  For a
+    model in which no divisor of G at y = 0 involves a position,
+    `model.compiled.fixed_points.bind` computes them from pairs derived
+    once per model, in integer arithmetic; for any other model, and at a
+    point `bind` refuses, the values are substituted and G at y = 0
+    canonicalized, as the definition reads.  Either way the same exact
+    pairs go to `model.compiled.fixed_point_forms`, which evaluates them
+    with functions compiled once per monomial support.
     """
     n = model.n
     bounds = _normalize_box(box, n)
-    system = model.compiled.fixed_points
-    bound = system.bind(params)
-    if bound is None:
-        nums, dens, order = _cleared_numerators(model, params)
-        f_num = compile_callable([p_to_expr(p, order) for p in nums], order)
-        f_den = compile_callable([p_to_expr(p, order) for p in dens], order)
-        jac_entries = [p_to_expr(p_diff(nums[i], j), order) for i in range(n) for j in range(n)]
-        f_jac = compile_callable(jac_entries, order)
-        values, scales = (), np.ones(n)
-    else:
-        f_num, f_jac, f_den = system.evaluators
-        values, scales = bound[0], np.array([float(s) for s in bound[1]])
+    pairs = model.compiled.fixed_points.bind(params)
+    if pairs is None:
+        pairs = _cleared_numerators(model, params)
+    (f_num, c_num), (f_jac, c_jac), (f_den, c_den) = model.compiled.fixed_point_forms(*pairs)
 
     span = max(hi - lo for lo, hi in bounds)
     escape = 10.0 * span + 100.0
@@ -270,8 +259,8 @@ def find_fixed_points(
             if not len(active):
                 break
             x = X[active]
-            F = _on_rows(f_num, x, values)
-            J = _on_rows(f_jac, x, values).reshape(-1, n, n)
+            F = _on_rows(f_num, x, c_num)
+            J = _on_rows(f_jac, x, c_jac).reshape(-1, n, n)
             ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
             dx, solved = _newton_steps(J[ok], -F[ok])
             active, x = active[ok][solved], x[ok][solved] + dx[solved]
@@ -285,10 +274,10 @@ def find_fixed_points(
         x = X[converged]
         lo, hi = np.array(bounds).T
         keep = ((x >= lo - 1e-9) & (x <= hi + 1e-9)).all(axis=1)
-        dvals = _on_rows(f_den, x, values)
-        margin = np.abs(dvals * scales).min(axis=1)
+        dvals = _on_rows(f_den, x, c_den)
+        margin = np.abs(dvals).min(axis=1)
         keep &= margin > denom_margin
-        resid = np.abs(_on_rows(f_num, x, values) / dvals).max(axis=1)
+        resid = np.abs(_on_rows(f_num, x, c_num) / dvals).max(axis=1)
         keep &= resid <= residual_scale * (1.0 + np.abs(x).max(axis=1))
 
     found: list[FixedPoint] = []
@@ -306,9 +295,9 @@ def _in_print_order(points: list[FixedPoint]) -> list[FixedPoint]:
     return sorted(points, key=lambda fp: tuple(float(f"{c:.12g}") for c in fp.point))
 
 
-def _on_rows(fn, x: np.ndarray, values: Sequence[float] = ()) -> np.ndarray:
-    """A compiled callable at every row of x (then `values`): one column per entry."""
-    vals = fn(*x.T, *values)
+def _on_rows(fn, x: np.ndarray, coefficients: Sequence[float]) -> np.ndarray:
+    """A compiled callable at every row of x (then `coefficients`): one column per entry."""
+    vals = fn(*x.T, *coefficients)
     out = np.empty((len(x), len(vals)))
     for j, v in enumerate(vals):
         out[:, j] = v
@@ -628,16 +617,11 @@ class RegionReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _region_polynomials() -> tuple[list[tuple[str, Poly, int]], int, int]:
-    """The R polynomials as (name, integer Poly over (Minf, V), constant
-    denominator), with the largest degrees in Minf and V; built on first use."""
-    polys = []
-    for name, e in AIRFOIL_REGION_POLYNOMIALS.items():
-        cr = canonicalize(e, ("Minf", "V"))
-        (_, den), = cr.den.items()
-        polys.append((name, cr.num, den))
-    monos = [m for _, p, _ in polys for m in p]
-    return polys, max(m[0] for m in monos), max(m[1] for m in monos)
+def _region_binder() -> ParameterBinder:
+    """The R polynomials, in order, as integer Polys over (Minf, V) (their
+    coefficients are integers, so `poly_of` is exact); built on first use."""
+    polys = [poly_of(e, ("Minf", "V")) for e in AIRFOIL_REGION_POLYNOMIALS.values()]
+    return ParameterBinder(polys, 2)
 
 
 def airfoil_region_conditions(minf, v) -> RegionReport:
@@ -645,20 +629,16 @@ def airfoil_region_conditions(minf, v) -> RegionReport:
 
     Inputs convert to exact rationals, every R polynomial is evaluated in
     exact arithmetic, and the first matching region in index order wins
-    (the regions are pairwise disjoint, so the order is immaterial).  With
-    Minf = a/b and V = c/d, each R polynomial is one integer sum over the
-    common denominator b^D * d^E (D, E the largest degrees), turned into a
-    single Fraction.
+    (the regions are pairwise disjoint, so the order is immaterial).  Each
+    R polynomial is one integer sum over a common denominator (see
+    ParameterBinder), turned into a single Fraction.
     """
     bind = {"Minf": Fraction(minf), "V": Fraction(v)}
-    polys, deg_m, deg_v = _region_polynomials()
-    (a, b), (c, d) = (bind[k].as_integer_ratio() for k in ("Minf", "V"))
-    pow_m = [a ** i * b ** (deg_m - i) for i in range(deg_m + 1)]
-    pow_v = [c ** j * d ** (deg_v - j) for j in range(deg_v + 1)]
-    scale = b ** deg_m * d ** deg_v
+    binder = _region_binder()
+    weights, scale = binder.weights([bind["Minf"], bind["V"]])
     values = {
-        name: Fraction(sum(k * pow_m[i] * pow_v[j] for (i, j), k in p.items()), scale * den)
-        for name, p, den in polys
+        name: Fraction(binder.value(i, weights), scale)
+        for i, name in enumerate(AIRFOIL_REGION_POLYNOMIALS)
     }
     guard = (bind["Minf"] - 10) != 0 and all(val != 0 for val in values.values())
     if not guard:

@@ -1,9 +1,12 @@
 """Curvature invariants, deviation systems, standard-form conversion."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kccstab.expr import (
     Symbol,
@@ -264,3 +267,72 @@ def test_standard_form_infers_parameters():
     conv = to_standard_form(M, f)
     assert conv.params == ("k",)
     assert semantic_equal(conv.G[0], parse("k*x1/4"))
+
+
+# ---------------------------------------------------------------------------
+# meaning oracle: the textbook KCC formulas, derived by sympy
+
+
+@st.composite
+def _rational_models(draw):
+    """n = 1..3 positions; each G_i is up to three terms, each a coefficient
+    times at most two of x1..xn, y1..yn, and one G_i may be over 1 + c*v for
+    one of those variables v (more quotients make sympy slow).  Returns
+    (xs, G sources)."""
+    n = draw(st.integers(1, 3))
+    names = [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n + 1)]
+    coefficient = st.sampled_from(["1", "-1", "2", "-3", "1/2", "-2/3"])
+
+    def term():
+        factors = draw(st.lists(st.sampled_from(names), max_size=2))
+        return "*".join([draw(coefficient)] + factors)
+
+    gs = [" + ".join(term() for _ in range(draw(st.integers(1, 3)))) for _ in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        gs[i] = f"({gs[i]})/(1 + {draw(coefficient)}*{draw(st.sampled_from(names))})"
+    return tuple(names[:n]), gs
+
+
+@given(_rational_models())
+@settings(max_examples=30, deadline=None)
+def test_invariants_match_textbook_formulas(spec):
+    """N, P and the torsion equal sympy's derivation of
+    N^i_j = dG^i/dy^j, G^i_jl = dN^i_j/dy^l,
+    P^i_j = -2 dG^i/dx^j - 2 G^l G^i_jl + y^l dN^i_j/dx^l + N^i_l N^l_j,
+    P^i_jk = (dP^i_j/dy^k - dP^i_k/dy^j)/3."""
+    sympy = pytest.importorskip("sympy")
+    xs, sources = spec
+    n = len(xs)
+    m = Model("oracle", xs, [parse(g) for g in sources])
+    syms = {v: sympy.Symbol(v) for v in m.xs + m.ys}
+    X, Y = [syms[v] for v in m.xs], [syms[v] for v in m.ys]
+
+    def to_sympy(e):
+        return sympy.sympify(str(e).replace("^", "**"), locals=syms)
+
+    G = [to_sympy(g) for g in m.G]
+    rng = range(n)
+    N = [[sympy.diff(G[i], Y[j]) for j in rng] for i in rng]
+    B = [[[sympy.diff(N[i][j], Y[l]) for l in rng] for j in rng] for i in rng]
+    P = [
+        [
+            -2 * sympy.diff(G[i], X[j])
+            - 2 * sum(G[l] * B[i][j][l] for l in rng)
+            + sum(Y[l] * sympy.diff(N[i][j], X[l]) for l in rng)
+            + sum(N[i][l] * N[l][j] for l in rng)
+            for j in rng
+        ]
+        for i in rng
+    ]
+    T = [
+        [[(sympy.diff(P[i][j], Y[k]) - sympy.diff(P[i][k], Y[j])) / 3 for k in rng] for j in rng]
+        for i in rng
+    ]
+    inv = invariants(m)
+    for i, j in itertools.product(rng, rng):
+        assert sympy.cancel(to_sympy(inv.N[i][j]) - N[i][j]) == 0, ("N", i, j, sources)
+        assert sympy.cancel(to_sympy(inv.P[i][j]) - P[i][j]) == 0, ("P", i, j, sources)
+        for k in rng:
+            got = to_sympy(inv.torsion[i][j][k])
+            assert sympy.cancel(got - T[i][j][k]) == 0, ("torsion", i, j, k, sources)

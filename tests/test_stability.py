@@ -23,11 +23,14 @@ from kccstab.expr import (
     ZeroDenominatorError,
     add,
     canonicalize,
+    compile_callable,
     det,
     div,
     evaluate,
     mul,
+    p_diff,
     p_eval,
+    p_to_expr,
     parse,
     pow_,
     semantic_equal,
@@ -462,24 +465,18 @@ def fixed_point_models():
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_generic_fixed_points_match_exact_path(fixed_point_models, data):
-    generic = [k for k, m in fixed_point_models.items() if m.compiled.fixed_points.evaluators]
+    generic = [k for k, m in fixed_point_models.items() if m.compiled.fixed_points.nums]
     name = data.draw(st.sampled_from(sorted(generic)))
     m = fixed_point_models[name]
     params = {p: data.draw(_param) for p in m.params}
     assume(m.compiled.fixed_points.bind(params) is not None)
     got = find_fixed_points(m, params, box=(-4, 4), seeds=5)
-    ref = _exact_path(m, params, box=(-4, 4), seeds=5)
-    assert len(got) == len(ref), (name, params)
-    # matched by position, not list order: roots whose first coordinates
-    # agree up to rounding may sort either way
-    for b in ref:
-        (a,) = [a for a in got if max(abs(u - v) for u, v in zip(a.point, b.point)) <= 1e-9]
-        assert abs(a.denom_margin - b.denom_margin) <= 1e-12 * b.denom_margin, (name, params)
+    assert got == _exact_path(m, params, box=(-4, 4), seeds=5), (name, params)
 
 
 def test_generic_forms_only_for_parameter_only_divisors(fixed_point_models):
     # every divisor of wound_strings and the chains involves a position
-    generic = {k for k, m in fixed_point_models.items() if m.compiled.fixed_points.evaluators}
+    generic = {k for k, m in fixed_point_models.items() if m.compiled.fixed_points.nums}
     assert generic == {"airfoil", "tractor_seat"}
 
 
@@ -531,30 +528,28 @@ def test_two_position_denominators_in_one_sum_take_the_exact_path():
     # the same, through a quotient: at p = 1, 1/(p*(1/B)) becomes B itself
     ("G1 = x1 + 1/(p*(1/(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)))", {"p": 1, "q": 1}, False),
     ("G1 = x1 + 1/(p*(1/(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)))", {"p": 2, "q": 1}, False),
-    # parameter-only divisors again: p - 2 is negative at p = 1, so s = -1 ...
+    # parameter-only divisors again: p - 2 is negative at p = 1, so the
+    # signs flip ...
     ("G1 = x1^3/(p - 2) + q*x1", {"p": 1, "q": 1}, True),
     # ... and zero at p = 2, where the exact path divides by zero
     ("G1 = x1^3/(p - 2) + q*x1", {"p": 2, "q": 1}, False),
     # the x1^2 coefficient vanishes at p = 1; q = 0 divides by zero
     ("G1 = (p - 1)*x1^2/q + x1", {"p": 1, "q": 1}, False),
     ("G1 = (p - 1)*x1^2/q + x1", {"p": 2, "q": 0}, False),
-    # s = 1/2 divides out the content of 2 x1^2 + 2 x1 over 2
+    # the content 2 of (2 x1^2 + 2 x1)/2 is divided out
     ("G1 = (p - 1)*x1^2/q + x1", {"p": 3, "q": 2}, True),
 ])
 def test_bind_at_chosen_points(source, params, certified):
     m = loads(f"model chosen\nparams p q\nvars x1\n{source}\n")
-    values = [Fraction(params[p]) for p in m.params]
     bound = m.compiled.fixed_points.bind(params)
     assert (bound is not None) == certified
     try:
-        nums, dens, _ = _cleared_numerators(m, params)
+        pairs = _cleared_numerators(m, params)
     except ExprError:
         assert not certified
         return
     if certified:
-        (s,) = bound[1]
-        assert _bound_pair(m.compiled.fixed_points.nums[0], s, values, 1) == nums[0]
-        assert _bound_pair(m.compiled.fixed_points.dens[0], s, values, 1) == dens[0]
+        assert bound == pairs
 
 
 def test_zeroed_term_takes_the_exact_path():
@@ -591,6 +586,58 @@ def test_fixed_point_search_does_no_symbolic_work_per_point(monkeypatch):
         assert len(find_fixed_points(af, params, box=(-1, 1), seeds=5)) == 3
 
 
+def test_wound_strings_sweep_compiles_the_search_once(monkeypatch):
+    # the per-point pairs of a model without generic ones share one support
+    calls = []
+    for module in (kcc, stability):
+        real = module.compile_callable
+        monkeypatch.setattr(
+            module, "compile_callable", lambda *a, real=real: calls.append(a) or real(*a)
+        )
+    ws = builtin("wound_strings")
+    for k in range(5):
+        params = {"a": Fraction(1, 2), "C": Fraction(4 + k, 4), "m": -1}
+        assert len(find_fixed_points(ws, params, box=(-4, 4), seeds=5)) == 4
+    # numerators, Jacobian, denominators
+    assert len(calls) == 3
+
+
+_coefficient = st.one_of(st.sampled_from([1, -1]), st.integers(-10**6, 10**6).filter(bool))
+
+
+@st.composite
+def _polys(draw, n):
+    """Integer polynomials in n positions, some with a constant term."""
+    monos = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    p = draw(st.dictionaries(monos, _coefficient, max_size=5))
+    constant = draw(st.one_of(st.just(0), _coefficient))
+    if constant:
+        p[(0,) * n] = constant
+    return p
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_fixed_point_forms_match_embedded_coefficients(data):
+    """The coefficient-argument forms give bit for bit the values of
+    `p_to_expr` compiled with its coefficients embedded."""
+    n = data.draw(st.integers(1, 3))
+    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    m = kcc.Model("forms", xs, [Constant(0)] * n)
+    nums = [data.draw(_polys(n)) for _ in range(n)]
+    dens = [data.draw(_polys(n)) for _ in range(n)]
+    jac = [p_diff(p, j) for p in nums for j in range(n)]
+    coordinate = st.floats(-100, 100, allow_nan=False)
+    x = np.array([[data.draw(coordinate) for _ in range(n)] for _ in range(4)])
+    forms = m.compiled.fixed_point_forms(nums, dens)
+    for (fn, coefficients), polys in zip(forms, (nums, jac, dens)):
+        ref = compile_callable([p_to_expr(p, xs) for p in polys], xs)
+        for args in (x.T, x[0].tolist()):
+            for got, want in zip(fn(*args, *coefficients), ref(*args)):
+                got, want = np.broadcast_to(got, x.shape[:1]), np.broadcast_to(want, x.shape[:1])
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
 _VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
 
 
@@ -625,43 +672,29 @@ _tree = st.recursive(
 )
 
 
-def _bound_pair(poly, s, values, n):
-    """s times poly (over positions then parameters) with the values bound."""
-    out: dict = {}
-    for m, c in poly.items():
-        v = Fraction(c)
-        for value, e in zip(values, m[n:]):
-            v *= value ** e
-        out[m[:n]] = out.get(m[:n], 0) + v
-    return {m: c * s for m, c in out.items() if c}
-
-
 @given(g1=_tree, g2=_tree)
 @settings(max_examples=60, deadline=None)
 def test_bind_certifies_only_exact_canonical_forms(g1, g2):
-    """Where `bind` accepts a point, s_i times the generic pair, bound, is
-    exactly the canonical pair made at that point; where making it fails,
-    `bind` refuses the point."""
+    """Where `bind` accepts a point, its pairs are exactly the canonical
+    pairs made at that point; where making them fails, `bind` refuses the
+    point."""
     m = kcc.Model("random", ("x1", "x2"), [g1, g2], params=("p", "q"))
     system = m.compiled.fixed_points
     for values in itertools.product(_VALUES, repeat=2):
         params = dict(zip(m.params, values))
         bound = system.bind(params)
         try:
-            nums, dens, _ = _cleared_numerators(m, params)
+            pairs = _cleared_numerators(m, params)
         except ExprError:
             assert bound is None, (str(g1), str(g2), params)
             continue
-        if bound is None:
-            continue
-        for i, s in enumerate(bound[1]):
-            assert _bound_pair(system.nums[i], s, values, 2) == nums[i], (str(g1), str(g2), params)
-            assert _bound_pair(system.dens[i], s, values, 2) == dens[i], (str(g1), str(g2), params)
+        assert bound is None or bound == pairs, (str(g1), str(g2), params)
 
 
 def test_bound_pairs_agree_with_sympy(fixed_point_models):
-    """The pairs the search runs on: the generic ones, bound, where the model
-    has them, and the ones made at the point otherwise."""
+    """The pairs the search runs on: those of `bind` where the model has
+    generic pairs, which equal the ones made at the point, and the ones
+    made at the point otherwise."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(104729)
     for name, m in sorted(fixed_point_models.items()):
@@ -669,16 +702,10 @@ def test_bound_pairs_agree_with_sympy(fixed_point_models):
         syms = {v: sympy.Symbol(v) for v in m.xs + m.ys + m.params}
         for _ in range(2):
             params = {p: Fraction(rng.randint(1, 64), rng.randint(1, 16)) for p in m.params}
-            values = [params[p] for p in m.params]
-            if system.evaluators:
-                bound = system.bind(params)
-                assert bound is not None, (name, params)
-                pairs = [
-                    (_bound_pair(num, s, values, m.n), _bound_pair(den, s, values, m.n))
-                    for num, den, s in zip(system.nums, system.dens, bound[1])
-                ]
-            else:
-                pairs = list(zip(*_cleared_numerators(m, params)[:2]))
+            made = _cleared_numerators(m, params)
+            if system.nums:
+                assert system.bind(params) == made, (name, params)
+            pairs = list(zip(*made))
             at = {syms[p]: sympy.Rational(v.numerator, v.denominator) for p, v in params.items()}
             at.update({syms[y]: 0 for y in m.ys})
             for i, g in enumerate(m.G):
