@@ -469,7 +469,6 @@ def cmd_region(args) -> int:
 def _add_common(p, out_help="write output to this file instead of stdout"):
     p.add_argument("--model", required=True, help="builtin model name or model file")
     p.add_argument("--params", default="", help="comma list name=rational")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="decision tolerance")
     p.add_argument(
         "--format", choices=("text", "csv", "json"), default="text",
         help="output format",
@@ -502,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", default="", help="search box lo:hi[,lo:hi...]")
     p.add_argument("--seeds", type=int, default=9, help="seed points per axis (at least 2)")
     p.add_argument("--point", default="", help="classify this point only")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="decision tolerance")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("conditions", help="print semialgebraic stability conditions")

@@ -11,6 +11,7 @@ a reduced pair of integer-coefficient polynomials.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -836,6 +837,103 @@ def p_content(p: Poly) -> int:
     return g
 
 
+def p_exquo(p: Poly, q: Poly) -> Poly:
+    """The exact quotient p/q; an ExprError when q does not divide p."""
+    if not q:
+        raise ZeroDenominatorError(detail="division by the zero polynomial")
+    mq, cq = p_leading(q)
+    out: Poly = {}
+    while p:
+        m, c = p_leading(p)
+        shift = tuple(a - b for a, b in zip(m, mq))
+        if min(shift) < 0 or c % cq:
+            raise ExprError("polynomial division is not exact")
+        out[shift] = c // cq
+        p = p_add(p, p_mul({shift: -(c // cq)}, q))
+    return out
+
+
+def p_gcd(p: Poly, q: Poly) -> Poly:
+    """Greatest common divisor of two integer polynomials, with a positive
+    leading coefficient; p_gcd({}, {}) is {}.
+
+    The common monomial factor times the gcd of the rest, which is recursive
+    in the variables.  With v one of least degree and c(p) the content of p
+    (the gcd of its coefficients as a polynomial in v), it is gcd(c(p), q)
+    when q does not involve v, and otherwise gcd(c(p), c(q)) times the
+    primitive part of the last term of the subresultant remainder sequence
+    of the primitive parts (Brown & Traub, J. ACM 1971; Knuth, TAOCP 2,
+    4.6.1, Algorithm C).
+    """
+    if not p or not q:
+        g = p or q
+    else:
+        nv = len(next(iter(p)))
+        lows = [[min(m[i] for m in f) for i in range(nv)] for f in (p, q)]
+        if any(map(any, lows)):
+            p, q = ({tuple(a - b for a, b in zip(m, low)): c for m, c in f.items()}
+                    for f, low in zip((p, q), lows))
+            return p_mul({tuple(map(min, *lows)): 1}, p_gcd(p, q))
+        degrees = [(max(m[i] for m in p), max(m[i] for m in q)) for i in range(nv)]
+        live = [i for i in range(nv) if any(degrees[i])]
+        if not all(map(any, zip(*degrees))):  # p or q is a constant
+            return p_const(math.gcd(p_content(p), p_content(q)), nv)
+        v = min(live, key=lambda i: min(degrees[i]))
+        if not degrees[v][0]:
+            p, q = q, p
+        if not min(degrees[v]):  # v is not in q, so not in the gcd
+            return p_gcd(_content_in(p, v), q)
+        cp, cq = _content_in(p, v), _content_in(q, v)
+        a, b = p_exquo(p, cp), p_exquo(q, cq)
+        if _degree(a, v) < _degree(b, v):
+            a, b = b, a
+        g = h = p_const(1, nv)
+        while True:
+            delta = _degree(a, v) - _degree(b, v)
+            r = _prem(a, b, v)
+            if not r or not _degree(r, v):
+                break
+            a, b = b, p_exquo(r, p_mul(g, p_pow(h, delta, nv)))
+            g = _by_degree(a, v)[_degree(a, v)]
+            if delta:
+                h = p_exquo(p_pow(g, delta, nv), p_pow(h, delta - 1, nv))
+        last = p_const(1, nv) if r else p_exquo(b, _content_in(b, v))
+        g = p_mul(p_gcd(cp, cq), last)
+    return p_neg(g) if g and p_leading(g)[1] < 0 else dict(g)
+
+
+def _degree(p: Poly, v: int) -> int:
+    return max(m[v] for m in p)
+
+
+def _by_degree(p: Poly, v: int) -> dict:
+    """p as {degree in variable v: coefficient, a polynomial free of v}."""
+    out: dict = {}
+    for m, c in p.items():
+        out.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
+    return out
+
+
+def _content_in(p: Poly, v: int) -> Poly:
+    """The gcd of the coefficients of p as a polynomial in variable v,
+    taken shortest first, which keeps the intermediate gcds small."""
+    return functools.reduce(p_gcd, sorted(_by_degree(p, v).values(), key=len), {})
+
+
+def _prem(a: Poly, b: Poly, v: int) -> Poly:
+    """The pseudo-remainder lc(b)^(k + 1) a mod b in variable v, where
+    lc(b) is the leading coefficient of b and k = deg a - deg b."""
+    coeffs = _by_degree(b, v)
+    db = max(coeffs)
+    k = _degree(a, v) - db + 1
+    while a and _degree(a, v) >= db:
+        da = _degree(a, v)
+        lead = {m[:v] + (da - db,) + m[v + 1:]: c for m, c in a.items() if m[v] == da}
+        a = p_add(p_mul(a, coeffs[db]), p_neg(p_mul(lead, b)))
+        k -= 1
+    return p_mul(a, p_pow(coeffs[db], k, len(next(iter(b)))))
+
+
 def _grlex_key(m: Mono):
     return (sum(m), m)
 
@@ -992,8 +1090,9 @@ def _canon_pair(vars: tuple[str, ...], num: Poly, den: Poly) -> CanonicalRationa
     if not den:
         raise ZeroDenominatorError(detail="denominator reduces to the zero polynomial")
     nv = len(vars)
+    num, den = _reduce_pair(num, den, nv)  # the shared integer content
     if not num:
-        return CanonicalRational(vars, {}, p_const(1, nv))
+        return CanonicalRational(vars, num, den)
     # cancel the common monomial factor
     mins = [min(m[i] for m in num) for i in range(nv)]
     for i in range(nv):
@@ -1003,11 +1102,6 @@ def _canon_pair(vars: tuple[str, ...], num: Poly, den: Poly) -> CanonicalRationa
         shift = tuple(mins)
         num = {tuple(a - b for a, b in zip(m, shift)): c for m, c in num.items()}
         den = {tuple(a - b for a, b in zip(m, shift)): c for m, c in den.items()}
-    # divide out the shared integer content
-    g = math.gcd(p_content(num), p_content(den))
-    if g > 1:
-        num = {m: c // g for m, c in num.items()}
-        den = {m: c // g for m, c in den.items()}
     # positive leading denominator coefficient
     if p_leading(den)[1] < 0:
         num = p_neg(num)

@@ -14,7 +14,6 @@ symbolic computation on expression trees.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -29,6 +28,7 @@ from .expr import (
     Pow,
     Symbol,
     ZeroDenominatorError,
+    _canon_pair,
     add,
     as_expr,
     canonicalize,
@@ -40,6 +40,8 @@ from .expr import (
     mul,
     neg,
     p_diff,
+    p_exquo,
+    p_gcd,
     p_sorted,
     pow_,
     sub,
@@ -168,11 +170,8 @@ class KccInvariants:
         self.model = model
         n = model.n
         xs, ys, G = model.xs, model.ys, model.G
-        self.N = [[differentiate(G[i], ys[j]) for j in range(n)] for i in range(n)]
-        self.berwald = [
-            [[differentiate(self.N[i][j], ys[l]) for l in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+        self.N = _by_velocities(G, ys)
+        self.berwald = _by_velocities(self.N, ys)
         self.epsilon = [
             sub(mul(2, G[i]), add(*[mul(self.N[i][j], Symbol(ys[j])) for j in range(n)]))
             for i in range(n)
@@ -201,62 +200,32 @@ class KccInvariants:
     @property
     def torsion(self):
         if self._torsion is None:
-            n = self.model.n
-            ys = self.model.ys
-            third = Fraction(1, 3)
+            d, rng = _by_velocities(self.P, self.model.ys), range(self.model.n)
             self._torsion = [
-                [
-                    [
-                        mul(
-                            third,
-                            sub(
-                                differentiate(self.P[i][j], ys[k]),
-                                differentiate(self.P[i][k], ys[j]),
-                            ),
-                        )
-                        for k in range(n)
-                    ]
-                    for j in range(n)
-                ]
-                for i in range(n)
+                [[mul(Fraction(1, 3), sub(d[i][j][k], d[i][k][j])) for k in rng] for j in rng]
+                for i in rng
             ]
         return self._torsion
 
     @property
     def riemann(self):
         if self._riemann is None:
-            n = self.model.n
-            ys = self.model.ys
-            t = self.torsion
-            self._riemann = [
-                [
-                    [
-                        [differentiate(t[i][j][k], ys[l]) for l in range(n)]
-                        for k in range(n)
-                    ]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
+            self._riemann = _by_velocities(self.torsion, self.model.ys)
         return self._riemann
 
     @property
     def douglas(self):
         if self._douglas is None:
-            n = self.model.n
-            ys = self.model.ys
-            b = self.berwald
-            self._douglas = [
-                [
-                    [
-                        [differentiate(b[i][j][k], ys[l]) for l in range(n)]
-                        for k in range(n)
-                    ]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
+            self._douglas = _by_velocities(self.berwald, self.model.ys)
         return self._douglas
+
+
+def _by_velocities(t, ys: Sequence[str]) -> list:
+    """The derivatives of each expression in the nested lists t by each
+    velocity, indexed last."""
+    if isinstance(t, (list, tuple)):
+        return [_by_velocities(e, ys) for e in t]
+    return [differentiate(t, y) for y in ys]
 
 
 def invariants(model: Model) -> KccInvariants:
@@ -365,15 +334,14 @@ class CompiledModel:
     deviation_blocks  symbolic (A21, A22) = (-2 dG/dx, -2 N)
     curvature         P, n*n entries
     deviation         A21 then A22, 2*n*n entries
-    fixed_points      the FixedPointSystem: for a model in which no divisor
-                      of G at y = 0 involves a position, G at y = 0 as
+    fixed_points      the FixedPointSystem: G at y = 0 and its divisors as
                       canonical pairs over `xs + params`, and `bind`, which
-                      makes the exact pairs at one parameter point from them
+                      makes the reduced pairs at one parameter point
 
     Parameter values never enter this data.  The fixed-point search
-    evaluates exact pairs over `xs`, from `bind` or made at the point,
-    through `fixed_point_forms`, whose functions take the coefficients as
-    arguments and are compiled once per monomial support.
+    evaluates the pairs of `bind` through `fixed_point_forms`, whose
+    functions take the coefficients as arguments and are compiled once per
+    monomial support.
     """
 
     __slots__ = (
@@ -490,132 +458,93 @@ class CompiledModel:
 class FixedPointSystem:
     """G at y = 0 as canonical polynomial pairs over `xs + params`, built once.
 
-    nums, dens    the canonical (numerator, denominator) pair of each G_i at
-                  y = 0 over the variables `xs + params`; each denominator
-                  is a polynomial in the parameters alone
+    nums, dens  the canonical (numerator, denominator) pair of each G_i at
+                y = 0 over the variables `xs + params`
+    divisors    (d, num, den) for each divisor d of G as written, inner ones
+                first, with the canonical pair of d at y = 0 over `xs + params`
 
-    They are built only for a model in which no divisor of G, with the
-    velocities set to 0, involves a position (airfoil and tractor_seat
-    among the built-ins).  G at y = 0 and a parameter point is then a
-    polynomial in the positions over a constant, whose canonical pair is
-    unique, so `bind` can make it from nums and dens in integer arithmetic.
-    Both are None for any other model, and every point of it takes the
-    per-point path of the fixed-point search.
+    A divisor that is zero at y = 0 whatever the parameters ends the list,
+    and nums and dens are then empty, as G at y = 0 is nowhere defined.
+    `bind` makes the pairs at one parameter point from these in integer
+    arithmetic, so no point substitutes, canonicalizes or compiles.
     """
 
-    __slots__ = ("model", "nums", "dens", "_binder", "_checks", "_coeffs")
+    __slots__ = ("model", "nums", "dens", "divisors", "_binder", "_checks", "_pairs")
 
     def __init__(self, model: Model):
         self.model = model
-        self.nums = self.dens = self._binder = None
-        try:
-            derived = _generic_fixed_point_pairs(model)
-        except ExprError:  # the per-point path reports it, at every point
-            return
-        if derived is None:
-            return
-        self.nums, self.dens, checks = derived
-        n = model.n
-        # the checks, then the coefficients of each numerator by position
-        # monomial and, last, the one coefficient of its denominator
-        polys = list(checks)
-        self._coeffs = []
-        for num, den in zip(self.nums, self.dens):
-            by_position = _by_position(num, n)
-            start = len(polys)
-            polys += [*by_position.values(), *_by_position(den, n).values()]
-            self._coeffs.append((tuple(by_position), range(start, len(polys))))
-        self._checks = len(checks)
+        order = model.xs + model.params
+        zeros = {y: 0 for y in model.ys}
+        self.divisors, self.nums, self.dens = [], [], []
+        # inner divisors first: once each is nonzero, the next one and G
+        # substitute and canonicalize without a zero denominator
+        for d in (d for g in model.G for d in _divisors(g)):
+            cr = canonicalize(substitute(d, zeros), order)
+            self.divisors.append((d, cr.num, cr.den))
+            if not cr.num:
+                break
+        else:
+            for g in model.G:
+                cr = canonicalize(substitute(g, zeros), order)
+                self.nums.append(cr.num)
+                self.dens.append(cr.den)
+        # each polynomial as (position monomial, index in the binder of its
+        # coefficient there, a polynomial in the parameters) pairs
+        polys: list = []
+
+        def split(p: Poly) -> list:
+            by_position: dict = {}
+            for m, c in p.items():
+                by_position.setdefault(m[:model.n], {})[m[model.n:]] = c
+            polys.extend(by_position.values())
+            return list(zip(by_position, range(len(polys) - len(by_position), len(polys))))
+
+        self._checks = [(d, split(num)) for d, num, _ in self.divisors]
+        self._pairs = [(split(num), split(den)) for num, den in zip(self.nums, self.dens)]
         self._binder = ParameterBinder(polys, len(model.params))
 
     def bind(
         self, params: Mapping[str, Fraction | float] | None
-    ) -> tuple[list[Poly], list[Poly]] | None:
-        """The canonical pairs of G at y = 0 at one parameter point.
+    ) -> tuple[list[Poly], list[Poly]]:
+        """The reduced canonical pairs (nums, dens) of G at y = 0 over `xs`
+        at one parameter point.
 
-        Returns (nums, dens) over `xs`, equal to the canonical pairs made
-        by substituting the values and canonicalizing
-        (`stability._cleared_numerators`).  Where the canonical numerator
-        and denominator of every divisor of G at y = 0 are nonzero, G is
-        defined at the point; where dens[i] is nonzero too, G_i there is
-        the polynomial nums[i]/dens[i] in the positions, and its canonical
-        pair is the bound integer coefficients over their gcd, signed so
-        that the constant denominator is positive.  Returns None, and the
-        caller makes the pairs at the point, when one of those is zero,
-        when a numerator coefficient vanishes (so every returned pair has
-        the generic support), and for a model without generic pairs.
-        Unknown or missing parameters raise ModelError (see Model.binding).
+        The values are bound into `nums` and `dens` in integer arithmetic; a
+        pair whose denominator involves a position is divided by its gcd, and
+        each is normalized as `canonicalize` normalizes.  That is the pair
+        made by substituting the values and canonicalizing, divided by its
+        gcd.  A divisor of G that is the zero polynomial at y = 0 and the
+        point raises ZeroDenominatorError; unknown or missing parameters
+        raise ModelError (see Model.binding).
         """
         bind = self.model.binding(params)
-        if self._binder is None:
-            return None
         weights, _ = self._binder.weights([bind[p] for p in self.model.params])
         value = self._binder.value
-        if not all(value(i, weights) for i in range(self._checks)):
-            return None
-        constant = (0,) * self.model.n
+        for d, terms in self._checks:
+            if not any(value(i, weights) for _, i in terms):
+                raise ZeroDenominatorError(d, "after substitution")
         nums, dens = [], []
-        for monos, idx in self._coeffs:
-            coeffs = [value(i, weights) for i in idx]
-            if not all(coeffs):
-                return None
-            g = math.gcd(*coeffs) if coeffs[-1] > 0 else -math.gcd(*coeffs)
-            nums.append({m: c // g for m, c in zip(monos, coeffs)})
-            dens.append({constant: coeffs[-1] // g})
+        for pair in self._pairs:
+            num, den = ({m: c for m, i in terms if (c := value(i, weights))} for terms in pair)
+            if any(map(any, den)):
+                g = p_gcd(num, den)
+                num, den = p_exquo(num, g), p_exquo(den, g)
+            cr = _canon_pair(self.model.xs, num, den)
+            nums.append(cr.num)
+            dens.append(cr.den)
         return nums, dens
 
 
-def _generic_fixed_point_pairs(model: Model):
-    """Generic pairs of G at y = 0 and the checks for `FixedPointSystem.bind`.
-
-    Returns (nums, dens, checks), or None when a divisor of G, with the
-    velocities set to 0, involves a position.  The checks are the
-    canonical numerator and denominator of each such divisor, polynomials
-    in the parameters that must be nonzero at a point; a divisor that is
-    identically zero gives the empty check, which no point passes.
-    """
-    n = model.n
-    order = model.xs + model.params
-    positions = set(model.xs)
-    zeros = {y: 0 for y in model.ys}
-    checks: dict = {}
-    nums, dens = [], []
-    for g in model.G:
-        for d in _divisors(g):
-            d = substitute(d, zeros)
-            if collect_symbols(d) & positions:
-                return None
-            cr = canonicalize(d, order)
-            for p in (cr.num, cr.den):
-                check = {m[n:]: c for m, c in p.items()}
-                checks[tuple(sorted(check.items()))] = check
-        cr = canonicalize(substitute(g, zeros), order)
-        nums.append(cr.num)
-        dens.append(cr.den)
-    return nums, dens, list(checks.values())
-
-
 def _divisors(e: Expr) -> list[Expr]:
-    """The denominator of every quotient in e."""
-    out, stack = [], [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Add, Mul)):
-            stack.extend(node.args)
-        elif isinstance(node, Div):
-            out.append(node.den)
-            stack.extend((node.num, node.den))
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-    return out
-
-
-def _by_position(p: Poly, n: int) -> dict:
-    """p as {position monomial: polynomial in the parameters}."""
-    out: dict = {}
-    for m, c in p.items():
-        out.setdefault(m[:n], {})[m[n:]] = c
-    return out
+    """The denominator of every quotient in e, each after those inside it,
+    in the order `substitute` meets them."""
+    if isinstance(e, (Add, Mul)):
+        return [d for a in e.args for d in _divisors(a)]
+    if isinstance(e, Div):
+        return _divisors(e.num) + _divisors(e.den) + [e.den]
+    if isinstance(e, Pow):
+        return _divisors(e.base)
+    return []
 
 
 def _terms(p: Poly) -> list:

@@ -31,7 +31,6 @@ from .expr import (
     Poly,
     ZeroDenominatorError,
     canonicalize,
-    compile_callable,
     det,
     p_const,
     p_mul,
@@ -48,6 +47,7 @@ DEFAULT_DEDUP_RADIUS = 1e-6
 DEFAULT_DENOM_MARGIN = 1e-8
 DEFAULT_RESIDUAL_SCALE = 1e-10
 DEFAULT_TOL = 1e-9
+MAX_NEWTON_STEPS = 80
 DEFAULT_MONOMIAL_BUDGET = 200000
 
 STABLE = "Stable"
@@ -193,27 +193,11 @@ def _normalize_box(box, n: int) -> list[tuple[float, float]]:
     return out
 
 
-def _cleared_numerators(model: Model, params) -> tuple[list[Poly], list[Poly]]:
-    """Canonical (numerator, denominator) polynomial pairs of G_i at y = 0."""
-    zeros = {y: 0 for y in model.ys}
-    nums, dens = [], []
-    for g in model.g_bound(params):
-        cr = canonicalize(substitute(g, zeros), model.xs)
-        nums.append(cr.num)
-        dens.append(cr.den)
-    return nums, dens
-
-
 def find_fixed_points(
     model: Model,
     params: Mapping[str, Fraction | float] | None = None,
     box=None,
     seeds: int = DEFAULT_SEEDS_PER_AXIS,
-    *,
-    dedup_radius: float = DEFAULT_DEDUP_RADIUS,
-    denom_margin: float = DEFAULT_DENOM_MARGIN,
-    residual_scale: float = DEFAULT_RESIDUAL_SCALE,
-    max_iter: int = 80,
 ) -> list[FixedPoint]:
     """All fixed points (y = 0, G(x, 0) = 0) found in the box, sorted.
 
@@ -224,28 +208,20 @@ def find_fixed_points(
     singular Jacobian are the steps solved seed by seed, so a singular seed
     fails alone.  A seed fails on a non-finite value, a singular Jacobian or
     leaving the escape radius, and converges when its step is below 1e-12
-    relative.  Converged candidates are kept only if every canonical G_i
-    denominator stays above `denom_margin` in magnitude and the true residual
-    max_i |G_i| is below residual_scale * (1 + |x|).  Duplicates within
-    `dedup_radius` (max-norm) collapse, earlier seeds first; results sort
-    lexicographically.
+    relative.  Converged candidates are kept only if every G_i denominator
+    stays above DEFAULT_DENOM_MARGIN in magnitude and the true residual
+    max_i |G_i| is below DEFAULT_RESIDUAL_SCALE * (1 + |x|).  Duplicates
+    within DEFAULT_DEDUP_RADIUS (max-norm) collapse, earlier seeds first;
+    results sort lexicographically.
 
-    The numerators and denominators are the canonical (numerator,
-    denominator) pairs of the G_i at y = 0 at this parameter point, and
-    `FixedPoint.residual` and `denom_margin` are measured on them.  For a
-    model in which no divisor of G at y = 0 involves a position,
-    `model.compiled.fixed_points.bind` computes them from pairs derived
-    once per model, in integer arithmetic; for any other model, and at a
-    point `bind` refuses, the values are substituted and G at y = 0
-    canonicalized, as the definition reads.  Either way the same exact
-    pairs go to `model.compiled.fixed_point_forms`, which evaluates them
-    with functions compiled once per monomial support.
+    The numerators and denominators are those of
+    `model.compiled.fixed_points.bind`, the reduced canonical pairs of the
+    G_i at y = 0 at this parameter point, evaluated by functions compiled
+    once per monomial support (`model.compiled.fixed_point_forms`).
     """
     n = model.n
     bounds = _normalize_box(box, n)
     pairs = model.compiled.fixed_points.bind(params)
-    if pairs is None:
-        pairs = _cleared_numerators(model, params)
     (f_num, c_num), (f_jac, c_jac), (f_den, c_den) = model.compiled.fixed_point_forms(*pairs)
 
     span = max(hi - lo for lo, hi in bounds)
@@ -255,7 +231,7 @@ def find_fixed_points(
     converged = np.zeros(len(X), dtype=bool)
     active = np.arange(len(X))
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(MAX_NEWTON_STEPS):
             if not len(active):
                 break
             x = X[active]
@@ -276,14 +252,14 @@ def find_fixed_points(
         keep = ((x >= lo - 1e-9) & (x <= hi + 1e-9)).all(axis=1)
         dvals = _on_rows(f_den, x, c_den)
         margin = np.abs(dvals).min(axis=1)
-        keep &= margin > denom_margin
+        keep &= margin > DEFAULT_DENOM_MARGIN
         resid = np.abs(_on_rows(f_num, x, c_num) / dvals).max(axis=1)
-        keep &= resid <= residual_scale * (1.0 + np.abs(x).max(axis=1))
+        keep &= resid <= DEFAULT_RESIDUAL_SCALE * (1.0 + np.abs(x).max(axis=1))
 
     found: list[FixedPoint] = []
     for row, r, d in zip(x[keep], resid[keep], margin[keep]):
         pt = tuple(float(c) for c in row)
-        if any(max(abs(a - b) for a, b in zip(pt, q.point)) <= dedup_radius for q in found):
+        if any(max(abs(a - b) for a, b in zip(pt, q.point)) <= DEFAULT_DEDUP_RADIUS for q in found):
             continue
         found.append(FixedPoint(point=pt, residual=float(r), denom_margin=float(d)))
     return _in_print_order(found)
@@ -435,10 +411,9 @@ def classify_all(
     box=None,
     seeds: int = DEFAULT_SEEDS_PER_AXIS,
     tol: float = DEFAULT_TOL,
-    **search_opts,
 ) -> list[tuple[FixedPoint, StabilityReport]]:
     """Locate all fixed points in the box and classify each."""
-    fps = find_fixed_points(model, params, box, seeds, **search_opts)
+    fps = find_fixed_points(model, params, box, seeds)
     clf = Classifier(model, params)
     return [(fp, clf.classify(fp.point, tol)) for fp in fps]
 
@@ -449,12 +424,11 @@ def count_stable(
     box=None,
     seeds: int = DEFAULT_SEEDS_PER_AXIS,
     tol: float = DEFAULT_TOL,
-    **search_opts,
 ) -> int:
     """Number of Jacobi-stable fixed points found in the box."""
     return sum(
         1
-        for _, rep in classify_all(model, params, box, seeds, tol, **search_opts)
+        for _, rep in classify_all(model, params, box, seeds, tol)
         if rep.verdict == STABLE
     )
 

@@ -75,6 +75,16 @@ def test_classify_indeterminate_exit(capsys, tmp_path):
     assert "Indeterminate" in out
 
 
+def test_tol_is_a_classify_option_only(capsys):
+    # a decision band wider than every normalized minor leaves no verdict
+    rc, out, _ = run(capsys, ["classify", *WS, "--box", "-4:4", "--tol", "1"])
+    assert rc == 3
+    assert out.count("Indeterminate") == 4 and "Stable" not in out
+    # no other subcommand decides anything with it
+    rc, out, err = run(capsys, ["fixed-points", *WS, "--box", "-4:4", "--tol", "1"])
+    assert rc == 1 and out == "" and "--tol" in err
+
+
 # ---------------------------------------------------------------------------
 # symbolic reports
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kccstab.expr import (
@@ -25,6 +25,9 @@ from kccstab.expr import (
     mul,
     neg,
     p_eval,
+    p_exquo,
+    p_gcd,
+    p_mul,
     parse,
     poly_of,
     pow_,
@@ -264,6 +267,61 @@ def test_poly_evaluation_exact():
     assert p_eval(p, [Fraction(1, 2), Fraction(4)]) == (
         Fraction(1, 4) * 4 - 12 + 1
     )
+
+
+# ---------------------------------------------------------------------------
+# polynomial gcd and exact division
+
+
+@st.composite
+def _factors(draw, n):
+    """An integer polynomial over a random subset of n variables (none gives
+    a constant), up to three terms of degree up to 2 in each."""
+    live = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    exponent = st.builds(
+        lambda es: tuple(es.get(i, 0) for i in range(n)),
+        st.fixed_dictionaries({i: st.integers(0, 2) for i in live}),
+    )
+    coefficient = st.integers(-6, 6).filter(bool)
+    return draw(st.dictionaries(exponent, coefficient, min_size=1, max_size=3))
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_gcd_matches_sympy(data):
+    """p_gcd(f h, g h) divides both, equals sympy's gcd up to a constant and
+    leaves coprime cofactors (integer content included)."""
+    sympy = pytest.importorskip("sympy")
+    n = data.draw(st.integers(1, 4))
+    f, g, h = (data.draw(_factors(n)) for _ in range(3))
+    a, b = p_mul(f, h), p_mul(g, h)
+    assume(a and b)
+    gcd = p_gcd(a, b)
+    ca, cb = p_exquo(a, gcd), p_exquo(b, gcd)
+    assert p_mul(gcd, ca) == a and p_mul(gcd, cb) == b
+    assert max(gcd.items(), key=lambda t: (sum(t[0]), t[0]))[1] > 0
+    syms = sympy.symbols(f"v0:{n}")
+
+    def to_sympy(p):
+        return sum(c * sympy.Mul(*[v ** e for v, e in zip(syms, m)]) for m, c in p.items())
+
+    assert sympy.cancel(to_sympy(gcd) / sympy.gcd(to_sympy(a), to_sympy(b))).is_number
+    assert sympy.gcd(to_sympy(ca), to_sympy(cb)) in (1, -1)
+
+
+def test_gcd_and_exact_division_edge_cases():
+    one, x2 = {(0, 0): 1}, {(0, 2): 1}
+    assert p_gcd({}, {}) == {}
+    assert p_gcd({}, {(1, 0): -2}) == {(1, 0): 2}
+    assert p_gcd({(0, 0): 4}, {(1, 0): 6, (0, 0): 2}) == {(0, 0): 2}
+    assert p_gcd(p_mul(x2, {(1, 0): 1, (0, 0): 1}), {(2, 1): 3}) == {(0, 1): 1}
+    assert p_gcd({(1, 0): 1}, {(0, 1): 1}) == one
+    with pytest.raises(ExprError, match="not exact"):
+        p_exquo({(1, 0): 1, (0, 0): 1}, {(1, 0): 1})
+    with pytest.raises(ExprError, match="not exact"):
+        p_exquo({(1, 0): 3}, {(1, 0): 2})
+    with pytest.raises(ZeroDenominatorError):
+        p_exquo(one, {})
 
 
 # ---------------------------------------------------------------------------

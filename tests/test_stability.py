@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kccstab import kcc, stability
@@ -18,9 +18,11 @@ from kccstab.expr import (
     Constant,
     ExprError,
     Mul,
+    ParameterBinder,
     Pow,
     Symbol,
     ZeroDenominatorError,
+    _canon_pair,
     add,
     canonicalize,
     compile_callable,
@@ -30,11 +32,14 @@ from kccstab.expr import (
     mul,
     p_diff,
     p_eval,
+    p_exquo,
+    p_gcd,
     p_to_expr,
     parse,
     pow_,
     semantic_equal,
     sub,
+    substitute,
 )
 from kccstab.kcc import invariants, kcc_deviation
 from kccstab.models import BUILTIN_NAMES, TRACTOR_SEAT_CASES, builtin, loads
@@ -54,7 +59,6 @@ from kccstab.stability import (
     find_fixed_points,
     hurwitz_determinants,
     hurwitz_matrix,
-    _cleared_numerators,
 )
 
 WS_PARAMS = {"a": Fraction(1, 2), "C": 1, "m": -1}
@@ -416,8 +420,6 @@ def test_model_derives_and_compiles_once(monkeypatch):
         kcc, "compile_callable",
         lambda exprs, names: compiled.append(len(exprs)) or real_compile(exprs, names),
     )
-    per_point = []
-    monkeypatch.setattr(stability, "compile_callable", lambda *a: per_point.append(a))
     af = builtin("airfoil")
     loads(CHAIN2)
     assert built == [] and compiled == []
@@ -428,7 +430,6 @@ def test_model_derives_and_compiles_once(monkeypatch):
     # fixed-point numerators, their 2 x 2 Jacobian and denominators, then
     # the 2 x 2 curvature P; nothing is compiled per parameter point
     assert compiled == [2, 4, 2, 4]
-    assert per_point == []
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +448,18 @@ G1 = (k*x1 + q*(2*x1) - b*x1^3 + c*y1)/(2*(1 + x1^2))
 """
 
 
-def _exact_path(model, params, **search):
-    """find_fixed_points on the canonical forms made at the point, the reference."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kcc.FixedPointSystem, "bind", lambda self, p: (self.model.binding(p), None)[1])
-        return find_fixed_points(model, params, **search)
+def _substituted_pairs(model, params):
+    """The reference pairs: the values substituted, then the velocities set
+    to 0, and each G_i canonicalized over the positions."""
+    zeros = {y: 0 for y in model.ys}
+    made = [canonicalize(substitute(g, zeros), model.xs) for g in model.g_bound(params)]
+    return [cr.num for cr in made], [cr.den for cr in made]
+
+
+def _reduced(pairs, xs):
+    """Each pair divided by its gcd and normalized as `canonicalize` does."""
+    out = [_canon_pair(xs, p_exquo(n, g), p_exquo(d, g)) for n, d in zip(*pairs) for g in [p_gcd(n, d)]]
+    return [cr.num for cr in out], [cr.den for cr in out]
 
 
 @pytest.fixture(scope="module")
@@ -462,32 +470,14 @@ def fixed_point_models():
     return models
 
 
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_generic_fixed_points_match_exact_path(fixed_point_models, data):
-    generic = [k for k, m in fixed_point_models.items() if m.compiled.fixed_points.nums]
-    name = data.draw(st.sampled_from(sorted(generic)))
-    m = fixed_point_models[name]
-    params = {p: data.draw(_param) for p in m.params}
-    assume(m.compiled.fixed_points.bind(params) is not None)
-    got = find_fixed_points(m, params, box=(-4, 4), seeds=5)
-    assert got == _exact_path(m, params, box=(-4, 4), seeds=5), (name, params)
-
-
-def test_generic_forms_only_for_parameter_only_divisors(fixed_point_models):
-    # every divisor of wound_strings and the chains involves a position
-    generic = {k for k, m in fixed_point_models.items() if m.compiled.fixed_points.nums}
-    assert generic == {"airfoil", "tractor_seat"}
-
-
 def test_degenerate_parameters_take_the_exact_path():
     m = loads(DEGEN)
     system = m.compiled.fixed_points
     # at p = 0 the x1 of the numerator cancels against the denominator's: the
-    # canonical form is x1/(x1 + 1), with the root x1 = 0
-    assert system.bind({"p": 0}) is None
+    # reduced form is x1/(x1 + 1), with the root x1 = 0
+    for p in (0, Fraction(-1, 4)):
+        assert system.bind({"p": p}) == _reduced(_substituted_pairs(m, {"p": p}), m.xs)
     assert [fp.point for fp in find_fixed_points(m, {"p": 0})] == [(0.0,)]
-    assert system.bind({"p": Fraction(-1, 4)}) is None
     fps = find_fixed_points(m, {"p": Fraction(-1, 4)})
     assert [fp.point for fp in fps] == [(-0.5,), (0.5,)]
     assert [fp.denom_margin for fp in fps] == [1.0, 3.0]
@@ -495,34 +485,36 @@ def test_degenerate_parameters_take_the_exact_path():
 
 
 def test_two_position_denominators_in_one_sum_take_the_exact_path():
-    # at p = 1 the two denominators coincide and the canonical form is
+    # at p = 1 the two denominators coincide and the reduced form is
     # (-3 x1 - 1)/(x1 + 1); the generic pair, bound, is (x1 + 1) times that,
-    # with every coefficient nonzero, and would give the margin 4/9
+    # and without the gcd would give the margin 4/9
     m = loads("model twin\nparams p\nvars x1\nG1 = 1/(x1 + p) + 1/(x1 + 1) - 3\n")
-    assert m.compiled.fixed_points.bind({"p": 1}) is None
-    (fp,) = find_fixed_points(m, {"p": 1})
+    params = {"p": 1}
+    assert m.compiled.fixed_points.bind(params) == _reduced(_substituted_pairs(m, params), m.xs)
+    (fp,) = find_fixed_points(m, params)
     assert fp.point == pytest.approx((-1 / 3,)) and fp.denom_margin == pytest.approx(2 / 3)
 
 
-@pytest.mark.parametrize("source, params, certified", [
-    # the rows over a divisor that involves a position accept no point; their
-    # comments say where the generic pair, bound, is not the canonical one
+@pytest.mark.parametrize("source, params, generic", [
+    # `generic` marks the points where G at y = 0 is a polynomial in the
+    # positions with every position monomial of the generic pair, so the
+    # bound coefficients over their content are the pair and no gcd is taken
     ("G1 = x1/(p*x1^2 + 1)", {"p": -1, "q": 1}, False),
-    # p = 0 drops a term over 1 + x1: the canonical form is x1 + 1, while the
-    # generic pair, bound, is (x1 + 1)^2/(x1 + 1) with no zero coefficient
+    # p = 0 drops a term over 1 + x1: the reduced form is x1 + 1, while the
+    # generic pair, bound, is (x1 + 1)^2/(x1 + 1)
     ("G1 = x1 + 1 - p/(1 + x1)", {"p": 0, "q": 1}, False),
     ("G1 = x1 + 1 - p/(1 + x1)", {"p": 2, "q": 1}, False),
     # a parameter-only divisor: q = 0 divides by zero before the velocity is
     # set to 0
     ("G1 = 2*x1 + y1/q", {"p": 1, "q": 0}, False),
     # at q = 1 the partial sum -1 + (q x1 + 1)/(x1 + 1) vanishes, which
-    # drops the factor x1 + 1 from the canonical form; the generic pair,
-    # bound, is x1 (x1 + 1)^2/(x1 + 1) with no zero coefficient
+    # drops the factor x1 + 1 from the substituted form; the generic pair,
+    # bound, is x1 (x1 + 1)^2/(x1 + 1)
     ("G1 = -1 + (q*x1 + 1)/(x1 + 1) + x1^2 + x1", {"p": 1, "q": 1}, False),
     ("G1 = -1 + (q*x1 + 1)/(x1 + 1) + x1^2 + x1", {"p": 1, "q": 2}, False),
     # p = 1 splices the inner sum into the outer one, where x1 plus its
     # first term vanishes and drops the factor x1 + 1; the generic pair,
-    # bound, is (x1 + 1)(x1^2 + x1)/(x1 + 1) with no zero coefficient
+    # bound, is (x1 + 1)(x1^2 + x1)/(x1 + 1)
     ("G1 = x1 + p*(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)", {"p": 1, "q": 1}, False),
     ("G1 = x1 + p*(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)", {"p": 2, "q": 1}, False),
     # the same, through a quotient: at p = 1, 1/(p*(1/B)) becomes B itself
@@ -531,7 +523,7 @@ def test_two_position_denominators_in_one_sum_take_the_exact_path():
     # parameter-only divisors again: p - 2 is negative at p = 1, so the
     # signs flip ...
     ("G1 = x1^3/(p - 2) + q*x1", {"p": 1, "q": 1}, True),
-    # ... and zero at p = 2, where the exact path divides by zero
+    # ... and zero at p = 2
     ("G1 = x1^3/(p - 2) + q*x1", {"p": 2, "q": 1}, False),
     # the x1^2 coefficient vanishes at p = 1; q = 0 divides by zero
     ("G1 = (p - 1)*x1^2/q + x1", {"p": 1, "q": 1}, False),
@@ -539,17 +531,20 @@ def test_two_position_denominators_in_one_sum_take_the_exact_path():
     # the content 2 of (2 x1^2 + 2 x1)/2 is divided out
     ("G1 = (p - 1)*x1^2/q + x1", {"p": 3, "q": 2}, True),
 ])
-def test_bind_at_chosen_points(source, params, certified):
+def test_bind_at_chosen_points(source, params, generic):
     m = loads(f"model chosen\nparams p q\nvars x1\n{source}\n")
-    bound = m.compiled.fixed_points.bind(params)
-    assert (bound is not None) == certified
+    system = m.compiled.fixed_points
     try:
-        pairs = _cleared_numerators(m, params)
+        reference = _reduced(_substituted_pairs(m, params), m.xs)
     except ExprError:
-        assert not certified
+        with pytest.raises(ZeroDenominatorError, match="after substitution"):
+            system.bind(params)
+        assert not generic
         return
-    if certified:
-        assert bound == pairs
+    nums, dens = system.bind(params)
+    assert (nums, dens) == reference
+    support = [{k[:1] for k in p} for p in system.nums + system.dens]
+    assert (dens[0].keys() == {(0,)} and [set(p) for p in nums + dens] == support) == generic
 
 
 def test_zeroed_term_takes_the_exact_path():
@@ -566,34 +561,41 @@ def test_zeroed_term_takes_the_exact_path():
 def test_airfoil_vanishing_cubic_coefficient_takes_the_exact_path():
     af = builtin("airfoil")
     params = {"Minf": Fraction(1000, 9), "V": 3}  # V^2 Minf = 1000: no x2^3 in G1
-    assert af.compiled.fixed_points.bind(params) is None
+    assert af.compiled.fixed_points.bind(params) == _reduced(_substituted_pairs(af, params), af.xs)
     pairs = classify_all(af, params, box=(-4, 4))
     assert [(fp.point, rep.verdict) for fp, rep in pairs] == [((0.0, 0.0), STABLE)]
     assert airfoil_region_conditions(params["Minf"], params["V"]).stable_count == 1
 
 
 def test_fixed_point_search_does_no_symbolic_work_per_point(monkeypatch):
-    af = builtin("airfoil")
-    find_fixed_points(af, AIRFOIL_PARAMS, box=(-1, 1), seeds=5)  # builds the system
+    # (model, parameters of the k-th point, box, fixed points found)
+    sweeps = [
+        (builtin("airfoil"), lambda k: {"Minf": Fraction(2017 + k, 256), "V": Fraction(83, 4)},
+         (-1, 1), 3),
+        (builtin("wound_strings"), lambda k: {"a": Fraction(1, 2), "C": Fraction(4 + k, 4), "m": -1},
+         (-4, 4), 4),
+        (loads(CHAIN2), lambda k: {"k": 1, "q": Fraction(1, 8 + k), "b": Fraction(1, 4), "c": 1},
+         (-4, 4), 9),
+    ]
+    for m, params, box, _ in sweeps:
+        find_fixed_points(m, params(0), box=box, seeds=5)  # builds the system
 
     def forbidden(*args, **kwargs):
         raise AssertionError("symbolic work at a parameter point")
 
-    for name in ("substitute", "canonicalize", "compile_callable"):
-        monkeypatch.setattr(stability, name, forbidden)
-    for k in range(5):
-        params = {"Minf": Fraction(2017 + k, 256), "V": Fraction(83, 4)}
-        assert len(find_fixed_points(af, params, box=(-1, 1), seeds=5)) == 3
+    for module in (stability, kcc):
+        for name in ("substitute", "canonicalize", "compile_callable"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for m, params, box, found in sweeps:
+        for k in range(5):
+            assert len(find_fixed_points(m, params(k), box=box, seeds=5)) == found, m.name
 
 
 def test_wound_strings_sweep_compiles_the_search_once(monkeypatch):
-    # the per-point pairs of a model without generic ones share one support
+    # the pairs of every point share one support
     calls = []
-    for module in (kcc, stability):
-        real = module.compile_callable
-        monkeypatch.setattr(
-            module, "compile_callable", lambda *a, real=real: calls.append(a) or real(*a)
-        )
+    real = kcc.compile_callable
+    monkeypatch.setattr(kcc, "compile_callable", lambda *a: calls.append(a) or real(*a))
     ws = builtin("wound_strings")
     for k in range(5):
         params = {"a": Fraction(1, 2), "C": Fraction(4 + k, 4), "m": -1}
@@ -675,49 +677,52 @@ _tree = st.recursive(
 @given(g1=_tree, g2=_tree)
 @settings(max_examples=60, deadline=None)
 def test_bind_certifies_only_exact_canonical_forms(g1, g2):
-    """Where `bind` accepts a point, its pairs are exactly the canonical
-    pairs made at that point; where making them fails, `bind` refuses the
-    point."""
+    """Where the substituted form exists, `bind` gives it divided by its gcd,
+    or raises naming a divisor of G that is zero at y = 0 and the point (the
+    substituted form can miss one, when the values drop the term over it);
+    where it does not exist, `bind` raises."""
     m = kcc.Model("random", ("x1", "x2"), [g1, g2], params=("p", "q"))
     system = m.compiled.fixed_points
+    divisors = kcc._divisors(g1) + kcc._divisors(g2)
     for values in itertools.product(_VALUES, repeat=2):
         params = dict(zip(m.params, values))
-        bound = system.bind(params)
         try:
-            pairs = _cleared_numerators(m, params)
+            reference = _reduced(_substituted_pairs(m, params), m.xs)
         except ExprError:
-            assert bound is None, (str(g1), str(g2), params)
+            with pytest.raises(ZeroDenominatorError, match="after substitution"):
+                system.bind(params)
             continue
-        assert bound is None or bound == pairs, (str(g1), str(g2), params)
+        try:
+            bound = system.bind(params)
+        except ZeroDenominatorError as e:
+            assert e.subexpr in divisors, (str(g1), str(g2), params)
+            at = {**params, "y1": 0, "y2": 0}
+            assert canonicalize(substitute(e.subexpr, at), m.xs).is_zero, (str(g1), str(g2), params)
+            continue
+        assert bound == reference, (str(g1), str(g2), params)
 
 
 def test_bound_pairs_agree_with_sympy(fixed_point_models):
-    """The pairs the search runs on: those of `bind` where the model has
-    generic pairs, which equal the ones made at the point, and the ones
-    made at the point otherwise."""
+    """The pairs the search runs on are the reduced substituted pairs, and
+    sympy's cancelled G at y = 0: coprime, with the same value."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(104729)
     for name, m in sorted(fixed_point_models.items()):
-        system = m.compiled.fixed_points
         syms = {v: sympy.Symbol(v) for v in m.xs + m.ys + m.params}
         for _ in range(2):
             params = {p: Fraction(rng.randint(1, 64), rng.randint(1, 16)) for p in m.params}
-            made = _cleared_numerators(m, params)
-            if system.nums:
-                assert system.bind(params) == made, (name, params)
-            pairs = list(zip(*made))
+            bound = m.compiled.fixed_points.bind(params)
+            assert bound == _reduced(_substituted_pairs(m, params), m.xs), (name, params)
             at = {syms[p]: sympy.Rational(v.numerator, v.denominator) for p, v in params.items()}
             at.update({syms[y]: 0 for y in m.ys})
-            for i, g in enumerate(m.G):
+            for i, (g, *pair) in enumerate(zip(m.G, *bound)):
                 exact = sympy.cancel(sympy.sympify(str(g).replace("^", "**"), locals=syms).subs(at))
                 num, den = (
-                    sum(sympy.Rational(c.numerator, c.denominator)
-                        * sympy.Mul(*[syms[x] ** e for x, e in zip(m.xs, k)])
-                        for k, c in p.items())
-                    for p in pairs[i]
+                    sum(c * sympy.Mul(*[syms[x] ** e for x, e in zip(m.xs, k)]) for k, c in p.items())
+                    for p in pair
                 )
                 assert sympy.cancel(num / den - exact) == 0, (name, i)
-                assert sympy.cancel(num / den) == exact, (name, i)
+                assert sympy.gcd(num, den).is_number, (name, i)
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +796,53 @@ def test_semialgebraic_budget_abort():
     ws = builtin("wound_strings")
     with pytest.raises(BudgetExceededError, match="budget"):
         assemble_semialgebraic(ws, budget=10)
+
+
+CHAIN_PARAMS = {"k": Fraction(7, 8), "q": Fraction(1, 8), "b": Fraction(1, 4), "c": Fraction(1, 16)}
+
+
+@pytest.mark.parametrize("name, params", [
+    ("wound_strings", WS_PARAMS),
+    ("airfoil", AIRFOIL_PARAMS),
+    ("chain1", CHAIN_PARAMS),
+    ("chain2", CHAIN_PARAMS),
+])
+def test_conditions_match_sympy_hurwitz_minors(fixed_point_models, name, params):
+    """Meaning, not text: at random rational positions each inequality has
+    the exact sign of sympy's reduced a_n or Hurwitz minor Delta_k of P at
+    y = 0 (P from the textbook formula, as in test_kcc), and each equation is
+    a polynomial multiple of sympy's reduced numerator of G_i at y = 0, so
+    it vanishes wherever that does."""
+    sympy = pytest.importorskip("sympy")
+    m = fixed_point_models[name]
+    sa = assemble_semialgebraic(m, params)
+    n, rng = m.n, range(m.n)
+    syms = {v: sympy.Symbol(v) for v in m.xs + m.ys + m.params}
+    X, Y = [syms[v] for v in m.xs], [syms[v] for v in m.ys]
+    values = {syms[p]: sympy.Rational(v.numerator, v.denominator) for p, v in m.binding(params).items()}
+    G = [sympy.sympify(str(g).replace("^", "**"), locals=syms).subs(values) for g in m.G]
+    N = [[sympy.diff(G[i], Y[j]) for j in rng] for i in rng]
+    P = sympy.Matrix(n, n, lambda i, j: (
+        -2 * sympy.diff(G[i], X[j])
+        - 2 * sum(G[l] * sympy.diff(N[i][j], Y[l]) for l in rng)
+        + sum(Y[l] * sympy.diff(N[i][j], X[l]) for l in rng)
+        + sum(N[i][l] * N[l][j] for l in rng)
+    ).subs({y: 0 for y in Y}))
+    a = [sympy.cancel(c) for c in P.charpoly().all_coeffs()]  # a_0 = 1, a_1, .., a_n
+    for eq, g in zip(sa.equations, G):
+        num = sympy.numer(sympy.cancel(g.subs({y: 0 for y in Y})))
+        eq = sum(c * sympy.Mul(*[v ** e for v, e in zip(X, k)]) for k, c in eq.items())
+        assert sympy.denom(sympy.cancel(eq / num)).is_number, (name, num)
+    binder = ParameterBinder(sa.inequalities, n)  # exact signs, in integers
+    draw = random.Random(104729)
+    for _ in range(6):
+        point = [Fraction(draw.choice((-1, 1)) * draw.randint(1, 64), draw.randint(1, 16)) for _ in rng]
+        av = [c.subs(dict(zip(X, map(sympy.Rational, point)))) for c in a]
+        H = sympy.Matrix(n, n, lambda i, j: av[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else 0)
+        want = [av[n]] + [H[:k, :k].det() for k in range(1, n + 1)]
+        weights, _ = binder.weights(point)
+        got = [binder.value(i, weights) for i in range(len(sa.inequalities))]
+        assert [sympy.sign(v) for v in got] == [sympy.sign(v) for v in want], (name, point)
 
 
 def test_render_tags():
