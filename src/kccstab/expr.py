@@ -287,8 +287,7 @@ def det(M: Sequence[list]):
 
     Cofactor expansion along the first row, using only ``+``, ``*`` and
     unary ``-``, so it works over Expr trees, CanonicalRational, Fraction and
-    float entries alike.  The order of the operations is part of the result:
-    CanonicalRational forms depend on it.
+    float entries alike.
     """
     n = len(M)
     if n == 1:
@@ -837,33 +836,61 @@ def p_content(p: Poly) -> int:
     return g
 
 
+def p_primitive(p: Poly) -> Poly:
+    """p over its integer content, with a positive leading coefficient."""
+    if not p:
+        return {}
+    g = p_content(p) * (1 if p_leading(p)[1] > 0 else -1)
+    return {m: c // g for m, c in p.items()}
+
+
 def p_exquo(p: Poly, q: Poly) -> Poly:
     """The exact quotient p/q; an ExprError when q does not divide p."""
     if not q:
         raise ZeroDenominatorError(detail="division by the zero polynomial")
+    out = _exquo(p, q)
+    if out is None:
+        raise ExprError("polynomial division is not exact")
+    return out
+
+
+def _exquo(p: Poly, q: Poly) -> Poly | None:
+    """The exact quotient p/q of a nonzero q, or None when q does not divide p."""
+    if not p:
+        return {}
     mq, cq = p_leading(q)
-    out: Poly = {}
-    while p:
-        m, c = p_leading(p)
+    # each quotient degree is deg p - deg q, variable by variable
+    room = [max(m[i] for m in p) - max(m[i] for m in q) for i in range(len(mq))]
+    rest, out = dict(p), {}
+    while rest:
+        m, c = p_leading(rest)
         shift = tuple(a - b for a, b in zip(m, mq))
-        if min(shift) < 0 or c % cq:
-            raise ExprError("polynomial division is not exact")
-        out[shift] = c // cq
-        p = p_add(p, p_mul({shift: -(c // cq)}, q))
+        if min(shift) < 0 or any(s > r for s, r in zip(shift, room)) or c % cq:
+            return None
+        k = out[shift] = c // cq
+        for m2, c2 in q.items():
+            m2 = tuple(a + b for a, b in zip(m2, shift))
+            s = rest.get(m2, 0) - k * c2
+            if s:
+                rest[m2] = s
+            else:
+                del rest[m2]
     return out
 
 
 def p_gcd(p: Poly, q: Poly) -> Poly:
-    """Greatest common divisor of two integer polynomials, with a positive
-    leading coefficient; p_gcd({}, {}) is {}.
+    """Greatest common divisor of two integer polynomials, integer content
+    included, with a positive leading coefficient; p_gcd({}, {}) is {}.
 
-    The common monomial factor times the gcd of the rest, which is recursive
-    in the variables.  With v one of least degree and c(p) the content of p
+    The common monomial factor times the gcd of the rest.  When the rest
+    involves at most three variables, that is the heuristic GCDHEU (see
+    `_heu_gcd`); otherwise, or when the heuristic fails, it is recursive in
+    the variables.  With v one of least degree and c(p) the content of p
     (the gcd of its coefficients as a polynomial in v), it is gcd(c(p), q)
     when q does not involve v, and otherwise gcd(c(p), c(q)) times the
     primitive part of the last term of the subresultant remainder sequence
     of the primitive parts (Brown & Traub, J. ACM 1971; Knuth, TAOCP 2,
-    4.6.1, Algorithm C).
+    4.6.1, Algorithm C).  Both ways give the same gcd.
     """
     if not p or not q:
         g = p or q
@@ -878,6 +905,10 @@ def p_gcd(p: Poly, q: Poly) -> Poly:
         live = [i for i in range(nv) if any(degrees[i])]
         if not all(map(any, zip(*degrees))):  # p or q is a constant
             return p_const(math.gcd(p_content(p), p_content(q)), nv)
+        if len(live) <= HEU_GCD_MAX_VARIABLES:
+            heu = _heu_gcd(p, q, live)
+            if heu is not None:
+                return _positive(heu[0])
         v = min(live, key=lambda i: min(degrees[i]))
         if not degrees[v][0]:
             p, q = q, p
@@ -899,7 +930,94 @@ def p_gcd(p: Poly, q: Poly) -> Poly:
                 h = p_exquo(p_pow(g, delta, nv), p_pow(h, delta - 1, nv))
         last = p_const(1, nv) if r else p_exquo(b, _content_in(b, v))
         g = p_mul(p_gcd(cp, cq), last)
-    return p_neg(g) if g and p_leading(g)[1] < 0 else dict(g)
+    return _positive(g)
+
+
+def _positive(p: Poly) -> Poly:
+    return p_neg(p) if p and p_leading(p)[1] < 0 else dict(p)
+
+
+# GCDHEU takes inputs in up to this many variables: its evaluation integers
+# grow with every variable, so with more the subresultant sequence is faster.
+HEU_GCD_MAX_VARIABLES = 3
+_HEU_GCD_TRIES = 6
+
+
+def _heu_gcd(p: Poly, q: Poly, live: Sequence[int]) -> tuple[Poly, Poly, Poly] | None:
+    """(h, p/h, q/h) for h a gcd of p and q, nonzero polynomials in the
+    variables `live` only; None when the heuristic fails.
+
+    GCDHEU (Char, Geddes & Gonnet, JSC 1989): the common integer content c
+    is divided out, the first live variable is replaced by an integer xi at
+    least 2 min(|p|, |q|) + 29 (|.| the largest coefficient), the gcd of the
+    two images is taken the same way in the other variables, with its content
+    kept, and a candidate is read off its xi-adic digits: the gcd itself made
+    primitive, or p or q over an interpolated cofactor.  A candidate that
+    divides both is their gcd (GCL, Algorithms for Computer Algebra, Thm 7.7)
+    and is returned times c.  Otherwise xi grows, up to six times.
+    """
+    if not live:  # two integers
+        ((zero, a),), ((_, b),) = p.items(), q.items()
+        h = math.gcd(a, b)
+        return {zero: h}, {zero: a // h}, {zero: b // h}
+    v, rest = live[0], live[1:]
+    c = math.gcd(p_content(p), p_content(q))
+    p, q = ({m: k // c for m, k in f.items()} for f in (p, q))
+    xi = 2 * min(max(map(abs, f.values())) for f in (p, q)) + 29
+    for _ in range(_HEU_GCD_TRIES):
+        images = [_eval_at(f, v, xi) for f in (p, q)]
+        if all(images):
+            # the image gcd keeps its content: it carries the digits of xi
+            inner = _heu_gcd(*images, rest)
+            if inner is None:
+                return None
+            for h in _heu_candidates(p, q, *(_interpolate(f, v, xi) for f in inner)):
+                cp = _exquo(p, h)
+                cq = None if cp is None else _exquo(q, h)
+                if cq is not None:
+                    return {m: k * c for m, k in h.items()}, cp, cq
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _heu_candidates(p: Poly, q: Poly, h: Poly, cp: Poly, cq: Poly):
+    """GCDHEU's gcd candidates from the interpolated gcd and cofactors."""
+    yield p_primitive(h)
+    for f, cofactor in ((p, cp), (q, cq)):
+        if cofactor:
+            h = _exquo(f, cofactor)
+            if h:
+                yield h
+
+
+def _eval_at(p: Poly, v: int, xi: int) -> Poly:
+    """p with variable v replaced by the integer xi."""
+    powers = [1]
+    for _ in range(max(m[v] for m in p)):
+        powers.append(powers[-1] * xi)
+    out: Poly = {}
+    for m, c in p.items():
+        k = m[:v] + (0,) + m[v + 1:]
+        out[k] = out.get(k, 0) + c * powers[m[v]]
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate(p: Poly, v: int, xi: int) -> Poly:
+    """The polynomial in variable v whose coefficients are the symmetric
+    xi-adic digits of those of p (p free of v)."""
+    out: Poly = {}
+    half = xi // 2
+    for m, c in p.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[m[:v] + (e,) + m[v + 1:]] = d
+            c = (c - d) // xi
+            e += 1
+    return out
 
 
 def _degree(p: Poly, v: int) -> int:
@@ -977,12 +1095,12 @@ def p_str(p: Poly, names: Sequence[str]) -> str:
 
 
 class CanonicalRational:
-    """A rational function as a reduced pair of integer polynomials.
+    """A rational function as the reduced pair of integer polynomials.
 
-    Normalization: the monomial gcd across numerator and denominator is
-    cancelled, the common integer content is divided out, and the leading
-    (graded-lex greatest) denominator coefficient is positive.  Equality is
-    semantic, by cross-multiplication.  The zero function is ({}, 1).
+    Normalization: numerator and denominator are coprime (their polynomial
+    gcd, integer content included, is divided out) and the leading
+    (graded-lex greatest) denominator coefficient is positive.  That pair is
+    unique, so equality compares the pairs.  The zero function is ({}, 1).
     """
 
     __slots__ = ("vars", "num", "den")
@@ -1061,7 +1179,7 @@ class CanonicalRational:
         if not isinstance(other, CanonicalRational):
             return NotImplemented
         self._chk(other)
-        return p_mul(self.num, other.den) == p_mul(other.num, self.den)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("CanonicalRational is unhashable")
@@ -1102,6 +1220,11 @@ def _canon_pair(vars: tuple[str, ...], num: Poly, den: Poly) -> CanonicalRationa
         shift = tuple(mins)
         num = {tuple(a - b for a, b in zip(m, shift)): c for m, c in num.items()}
         den = {tuple(a - b for a, b in zip(m, shift)): c for m, c in den.items()}
+    # over a monomial denominator the two steps above leave a coprime pair
+    if len(den) > 1:
+        g = p_gcd(num, den)
+        if g != p_const(1, nv):
+            num, den = p_exquo(num, g), p_exquo(den, g)
     # positive leading denominator coefficient
     if p_leading(den)[1] < 0:
         num = p_neg(num)
@@ -1172,7 +1295,9 @@ def _to_pair(e: Expr, index: Mapping[str, int], nv: int) -> tuple[Poly, Poly]:
 
 
 def _reduce_pair(num: Poly, den: Poly, nv: int) -> tuple[Poly, Poly]:
-    """Light in-flight reduction: shared content only (cheap, keeps ints small)."""
+    """In-flight reduction inside `canonicalize`: the shared integer content
+    only, which keeps the integers small; `_canon_pair` cancels the
+    polynomial gcd once, at the end."""
     if not num:
         return {}, p_const(1, nv)
     if not den:
@@ -1185,7 +1310,7 @@ def _reduce_pair(num: Poly, den: Poly, nv: int) -> tuple[Poly, Poly]:
 
 
 def semantic_equal(e1: Expr, e2: Expr) -> bool:
-    """Exact equality of rational functions, by canonical cross-multiplication."""
+    """Exact equality of rational functions: their reduced canonical pairs agree."""
     order = tuple(sorted(collect_symbols(e1) | collect_symbols(e2)))
     return canonicalize(e1, order) == canonicalize(e2, order)
 

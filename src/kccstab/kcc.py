@@ -40,8 +40,7 @@ from .expr import (
     mul,
     neg,
     p_diff,
-    p_exquo,
-    p_gcd,
+    p_primitive,
     p_sorted,
     pow_,
     sub,
@@ -466,10 +465,14 @@ class FixedPointSystem:
     A divisor that is zero at y = 0 whatever the parameters ends the list,
     and nums and dens are then empty, as G at y = 0 is nowhere defined.
     `bind` makes the pairs at one parameter point from these in integer
-    arithmetic, so no point substitutes, canonicalizes or compiles.
+    arithmetic, so no point substitutes, canonicalizes or compiles;
+    `divisor_numerators` gives the numerators of the divisors there, whose
+    zeros the reduced pairs need not show.
     """
 
-    __slots__ = ("model", "nums", "dens", "divisors", "_binder", "_checks", "_pairs")
+    __slots__ = (
+        "model", "nums", "dens", "divisors", "_binder", "_checks", "_pairs", "_positional"
+    )
 
     def __init__(self, model: Model):
         self.model = model
@@ -500,22 +503,22 @@ class FixedPointSystem:
             return list(zip(by_position, range(len(polys) - len(by_position), len(polys))))
 
         self._checks = [(d, split(num)) for d, num, _ in self.divisors]
+        self._positional = [terms for _, terms in self._checks if any(any(m) for m, _ in terms)]
         self._pairs = [(split(num), split(den)) for num, den in zip(self.nums, self.dens)]
         self._binder = ParameterBinder(polys, len(model.params))
 
     def bind(
         self, params: Mapping[str, Fraction | float] | None
     ) -> tuple[list[Poly], list[Poly]]:
-        """The reduced canonical pairs (nums, dens) of G at y = 0 over `xs`
-        at one parameter point.
+        """The canonical pairs (nums, dens) of G at y = 0 over `xs` at one
+        parameter point.
 
-        The values are bound into `nums` and `dens` in integer arithmetic; a
-        pair whose denominator involves a position is divided by its gcd, and
-        each is normalized as `canonicalize` normalizes.  That is the pair
-        made by substituting the values and canonicalizing, divided by its
-        gcd.  A divisor of G that is the zero polynomial at y = 0 and the
-        point raises ZeroDenominatorError; unknown or missing parameters
-        raise ModelError (see Model.binding).
+        The values are bound into `nums` and `dens` in integer arithmetic,
+        and each pair is reduced as `canonicalize` reduces it, so it is the
+        pair made by substituting the values and canonicalizing.  A divisor
+        of G that is the zero polynomial at y = 0 and the point raises
+        ZeroDenominatorError; unknown or missing parameters raise ModelError
+        (see Model.binding).
         """
         bind = self.model.binding(params)
         weights, _ = self._binder.weights([bind[p] for p in self.model.params])
@@ -526,13 +529,30 @@ class FixedPointSystem:
         nums, dens = [], []
         for pair in self._pairs:
             num, den = ({m: c for m, i in terms if (c := value(i, weights))} for terms in pair)
-            if any(map(any, den)):
-                g = p_gcd(num, den)
-                num, den = p_exquo(num, g), p_exquo(den, g)
             cr = _canon_pair(self.model.xs, num, den)
             nums.append(cr.num)
             dens.append(cr.den)
         return nums, dens
+
+    def divisor_numerators(self, params: Mapping[str, Fraction | float] | None) -> list[Poly]:
+        """The numerators over `xs` of the divisors of G at y = 0 that
+        involve a position, at one parameter point: G as written is
+        undefined where one of them is zero.
+
+        Each is bound in integer arithmetic as in `bind` and made primitive
+        (see `p_primitive`); each is listed once, in the order of
+        `divisors`, and one left without a position is dropped.
+        """
+        if not self._positional:
+            return []
+        bind = self.model.binding(params)
+        weights, _ = self._binder.weights([bind[p] for p in self.model.params])
+        out: list[Poly] = []
+        for terms in self._positional:
+            p = p_primitive({m: c for m, i in terms if (c := self._binder.value(i, weights))})
+            if any(map(any, p)) and p not in out:
+                out.append(p)
+        return out
 
 
 def _divisors(e: Expr) -> list[Expr]:

@@ -31,15 +31,17 @@ from .expr import (
     Poly,
     ZeroDenominatorError,
     canonicalize,
+    collect_symbols,
     det,
     p_const,
     p_mul,
+    p_primitive,
     p_str,
     parse,
     poly_of,
     substitute,
 )
-from .kcc import Model, ModelError
+from .kcc import Model, ModelError, _divisors
 
 DEFAULT_BOX_HALFWIDTH = 10.0
 DEFAULT_SEEDS_PER_AXIS = 9
@@ -208,9 +210,11 @@ def find_fixed_points(
     singular Jacobian are the steps solved seed by seed, so a singular seed
     fails alone.  A seed fails on a non-finite value, a singular Jacobian or
     leaving the escape radius, and converges when its step is below 1e-12
-    relative.  Converged candidates are kept only if every G_i denominator
-    stays above DEFAULT_DENOM_MARGIN in magnitude and the true residual
-    max_i |G_i| is below DEFAULT_RESIDUAL_SCALE * (1 + |x|).  Duplicates
+    relative.  Converged candidates are kept only if every G_i denominator,
+    and the numerator of every divisor of G as written that involves a
+    position (`FixedPointSystem.divisor_numerators`), stays above
+    DEFAULT_DENOM_MARGIN in magnitude, and the true residual max_i |G_i| is
+    below DEFAULT_RESIDUAL_SCALE * (1 + |x|).  Duplicates
     within DEFAULT_DEDUP_RADIUS (max-norm) collapse, earlier seeds first;
     results sort lexicographically.
 
@@ -221,8 +225,13 @@ def find_fixed_points(
     """
     n = model.n
     bounds = _normalize_box(box, n)
-    pairs = model.compiled.fixed_points.bind(params)
-    (f_num, c_num), (f_jac, c_jac), (f_den, c_den) = model.compiled.fixed_point_forms(*pairs)
+    system = model.compiled.fixed_points
+    nums, dens = system.bind(params)
+    # the divisor numerators are evaluated after the denominators
+    divisors = system.divisor_numerators(params)
+    (f_num, c_num), (f_jac, c_jac), (f_den, c_den) = model.compiled.fixed_point_forms(
+        nums, dens + divisors
+    )
 
     span = max(hi - lo for lo, hi in bounds)
     escape = 10.0 * span + 100.0
@@ -250,10 +259,10 @@ def find_fixed_points(
         x = X[converged]
         lo, hi = np.array(bounds).T
         keep = ((x >= lo - 1e-9) & (x <= hi + 1e-9)).all(axis=1)
-        dvals = _on_rows(f_den, x, c_den)
-        margin = np.abs(dvals).min(axis=1)
-        keep &= margin > DEFAULT_DENOM_MARGIN
-        resid = np.abs(_on_rows(f_num, x, c_num) / dvals).max(axis=1)
+        dvals = np.abs(_on_rows(f_den, x, c_den))
+        margin = dvals[:, :n].min(axis=1)
+        keep &= dvals.min(axis=1) > DEFAULT_DENOM_MARGIN
+        resid = np.abs(_on_rows(f_num, x, c_num) / dvals[:, :n]).max(axis=1)
         keep &= resid <= DEFAULT_RESIDUAL_SCALE * (1.0 + np.abs(x).max(axis=1))
 
     found: list[FixedPoint] = []
@@ -442,7 +451,8 @@ class SemiAlgebraicSystem:
     """Sign conditions carving out the Jacobi-stable fixed points.
 
     equations    numerators of G_i(x, 0)            (= 0)
-    inequations  position-dependent denominators    (!= 0)
+    inequations  position-dependent numerators of the divisors of G as
+                 written, at y = 0                   (!= 0)
     inequalities num*den products of a_n and each Hurwitz determinant (> 0)
     """
 
@@ -484,8 +494,6 @@ def assemble_semialgebraic(
     positions only.  Any intermediate polynomial exceeding `budget`
     monomials aborts with a size diagnostic.
     """
-    n = model.n
-
     def check(value: CanonicalRational, context: str):
         _bcheck(value.monomial_count(), budget, context)
 
@@ -501,15 +509,16 @@ def assemble_semialgebraic(
     zeros.update({y: 0 for y in model.ys})
 
     equations: list[Poly] = []
-    inequations: list[Poly] = []
     for g in model.G:
         cr = canonicalize(substitute(g, zeros), order)
         check(cr, "clearing G denominators")
         equations.append(cr.num)
-        den = cr.den
-        if any(any(m[i] for i in range(n)) for m in den):
-            if den not in inequations:
-                inequations.append(den)
+    # the reduced G can have lost a divisor's zeros, so they come from G as written
+    inequations: list[Poly] = []
+    for d in (d for g in model.G for d in _divisors(g) if collect_symbols(d) & set(model.xs)):
+        p = p_primitive(canonicalize(substitute(d, zeros), order).num)
+        if any(any(m[:model.n]) for m in p) and p not in inequations:
+            inequations.append(p)
     if not inequations:
         inequations.append(p_const(1, len(order)))
 

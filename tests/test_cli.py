@@ -146,8 +146,19 @@ def test_conditions_fully_bound(capsys):
     assert "EQ:  4*x1^4*x2^2 - x1^4 - 8*x1^2*x2^2 - 16*x2^4 = 0" in lines
     tags = [ln.split(":", 1)[0] for ln in lines[1:] if ":" in ln]
     assert tags.count("EQ") == 2
-    assert tags.count("NEQ") == 2
+    assert tags.count("NEQ") == 3  # the divisors a^2 x1^2 + m^2 x2^2, x1^4 x2^2, x1^2 x2^4
     assert tags.count("GT") == 3
+
+
+def test_points_where_g_is_undefined_are_not_listed(capsys, tmp_path):
+    # at p = 0, G1 reduces to x1/(x1 + 1), but G1 as written is undefined at
+    # its root x1 = 0: no fixed point is listed, and classify does not abort
+    mf = tmp_path / "degen.kcc"
+    mf.write_text("model degen\nparams p\nvars x1\nG1 = (x1^2 + p)/(x1*(x1 + 1)) + y1\n")
+    for command in ("fixed-points", "classify"):
+        rc, out, err = run(capsys, [command, "--model", str(mf), "--params", "p=0"])
+        assert (rc, err) == (0, "")
+        assert "0 fixed point(s) found" in out
 
 
 def test_conditions_budget_exhaustion_exit(capsys):

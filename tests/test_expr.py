@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kccstab import expr
 from kccstab.expr import (
     CanonicalRational,
     Constant,
@@ -28,6 +29,7 @@ from kccstab.expr import (
     p_exquo,
     p_gcd,
     p_mul,
+    p_scale,
     parse,
     poly_of,
     pow_,
@@ -286,17 +288,31 @@ def _factors(draw, n):
     return draw(st.dictionaries(exponent, coefficient, min_size=1, max_size=3))
 
 
+def _subresultant_gcd(p, q):
+    """p_gcd with GCDHEU switched off, so every input takes the subresultant
+    remainder sequence."""
+    saved = expr.HEU_GCD_MAX_VARIABLES
+    expr.HEU_GCD_MAX_VARIABLES = 0
+    try:
+        return p_gcd(p, q)
+    finally:
+        expr.HEU_GCD_MAX_VARIABLES = saved
+
+
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_gcd_matches_sympy(data):
     """p_gcd(f h, g h) divides both, equals sympy's gcd up to a constant and
-    leaves coprime cofactors (integer content included)."""
+    leaves coprime cofactors (integer content included); in 1-3 variables,
+    where p_gcd takes GCDHEU, the subresultant sequence gives the same gcd."""
     sympy = pytest.importorskip("sympy")
     n = data.draw(st.integers(1, 4))
     f, g, h = (data.draw(_factors(n)) for _ in range(3))
     a, b = p_mul(f, h), p_mul(g, h)
     assume(a and b)
     gcd = p_gcd(a, b)
+    if n <= expr.HEU_GCD_MAX_VARIABLES:
+        assert gcd == _subresultant_gcd(a, b)
     ca, cb = p_exquo(a, gcd), p_exquo(b, gcd)
     assert p_mul(gcd, ca) == a and p_mul(gcd, cb) == b
     assert max(gcd.items(), key=lambda t: (sum(t[0]), t[0]))[1] > 0
@@ -307,6 +323,17 @@ def test_gcd_matches_sympy(data):
 
     assert sympy.cancel(to_sympy(gcd) / sympy.gcd(to_sympy(a), to_sympy(b))).is_number
     assert sympy.gcd(to_sympy(ca), to_sympy(cb)) in (1, -1)
+
+
+def test_heuristic_gcd_keeps_the_content_of_each_image():
+    # the content of an image gcd carries the digits of the evaluation
+    # point: dividing it out reads (x^2 + 1)(y^2 + 1) back as x^2 + 1
+    common = p_mul({(2, 0): 1, (0, 0): 1}, {(0, 2): 1, (0, 0): 1})
+    f, g = {(1, 0): 1, (0, 1): 2, (0, 0): 3}, {(1, 1): 1, (0, 0): -5}
+    a, b = p_mul(common, f), p_mul(common, g)
+    h, ca, cb = expr._heu_gcd(p_scale(a, 6), p_scale(b, 4), [0, 1])
+    assert h == p_scale(common, 2) and (ca, cb) == (p_scale(f, 3), p_scale(g, 2))
+    assert p_gcd(a, b) == common == _subresultant_gcd(a, b)
 
 
 def test_gcd_and_exact_division_edge_cases():

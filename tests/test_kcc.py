@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kccstab.expr import (
     Symbol,
     add,
+    canonicalize,
     differentiate,
     mul,
     parse,
@@ -336,3 +337,32 @@ def test_invariants_match_textbook_formulas(spec):
         for k in rng:
             got = to_sympy(inv.torsion[i][j][k])
             assert sympy.cancel(got - T[i][j][k]) == 0, ("torsion", i, j, k, sources)
+
+
+@given(_rational_models())
+@settings(max_examples=30, deadline=None)
+def test_canonical_forms_are_reduced(spec):
+    """The canonical pair of each entry of N and P, rational expression trees
+    built from random models, is coprime by sympy's gcd and has the terms
+    and degrees of sympy's cancelled numerator and denominator."""
+    sympy = pytest.importorskip("sympy")
+    xs, sources = spec
+    m = Model("oracle", xs, [parse(g) for g in sources])
+    order = m.xs + m.ys
+    gens = sympy.symbols(order)
+
+    def to_sympy(p):
+        terms = [c * sympy.Mul(*[v ** e for v, e in zip(gens, k)]) for k, c in p.items()]
+        return sympy.Poly(sum(terms), *gens)
+
+    def size(p):
+        return len(p.terms()), p.total_degree()
+
+    inv = invariants(m)
+    for e in [e for M in (inv.N, inv.P) for row in M for e in row]:
+        cr = canonicalize(e, order)
+        num, den = to_sympy(cr.num), to_sympy(cr.den)
+        assert sympy.gcd(num, den).is_ground, (str(e), str(cr))
+        exact = sympy.sympify(str(e).replace("^", "**"), locals=dict(zip(order, gens)))
+        want = [sympy.Poly(w, *gens) for w in sympy.fraction(sympy.cancel(exact))]
+        assert [size(num), size(den)] == [size(w) for w in want], (str(e), str(cr))

@@ -474,10 +474,11 @@ def test_degenerate_parameters_take_the_exact_path():
     m = loads(DEGEN)
     system = m.compiled.fixed_points
     # at p = 0 the x1 of the numerator cancels against the denominator's: the
-    # reduced form is x1/(x1 + 1), with the root x1 = 0
+    # reduced form is x1/(x1 + 1), whose root x1 = 0 is a zero of the divisor
+    # x1*(x1 + 1) of G as written, so it is not a fixed point
     for p in (0, Fraction(-1, 4)):
         assert system.bind({"p": p}) == _reduced(_substituted_pairs(m, {"p": p}), m.xs)
-    assert [fp.point for fp in find_fixed_points(m, {"p": 0})] == [(0.0,)]
+    assert find_fixed_points(m, {"p": 0}) == []
     fps = find_fixed_points(m, {"p": Fraction(-1, 4)})
     assert [fp.point for fp in fps] == [(-0.5,), (0.5,)]
     assert [fp.denom_margin for fp in fps] == [1.0, 3.0]
@@ -513,13 +514,14 @@ def test_two_position_denominators_in_one_sum_take_the_exact_path():
     ("G1 = -1 + (q*x1 + 1)/(x1 + 1) + x1^2 + x1", {"p": 1, "q": 1}, False),
     ("G1 = -1 + (q*x1 + 1)/(x1 + 1) + x1^2 + x1", {"p": 1, "q": 2}, False),
     # p = 1 splices the inner sum into the outer one, where x1 plus its
-    # first term vanishes and drops the factor x1 + 1; the generic pair,
-    # bound, is (x1 + 1)(x1^2 + x1)/(x1 + 1)
-    ("G1 = x1 + p*(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)", {"p": 1, "q": 1}, False),
-    ("G1 = x1 + p*(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)", {"p": 2, "q": 1}, False),
-    # the same, through a quotient: at p = 1, 1/(p*(1/B)) becomes B itself
-    ("G1 = x1 + 1/(p*(1/(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)))", {"p": 1, "q": 1}, False),
-    ("G1 = x1 + 1/(p*(1/(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)))", {"p": 2, "q": 1}, False),
+    # first term vanishes; the reduced generic pair is already a polynomial,
+    # x1^2*p + x1 over 1, so binding it needs no gcd
+    ("G1 = x1 + p*(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)", {"p": 1, "q": 1}, True),
+    ("G1 = x1 + p*(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)", {"p": 2, "q": 1}, True),
+    # the same, through a quotient: at p = 1, 1/(p*(1/B)) becomes B itself;
+    # the reduced generic pair is x1^2 + x1*p over p
+    ("G1 = x1 + 1/(p*(1/(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)))", {"p": 1, "q": 1}, True),
+    ("G1 = x1 + 1/(p*(1/(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)))", {"p": 2, "q": 1}, True),
     # parameter-only divisors again: p - 2 is negative at p = 1, so the
     # signs flip ...
     ("G1 = x1^3/(p - 2) + q*x1", {"p": 1, "q": 1}, True),
@@ -548,11 +550,12 @@ def test_bind_at_chosen_points(source, params, generic):
 
 
 def test_zeroed_term_takes_the_exact_path():
+    # the reduced forms x1 + 1 and x1^2 + x1 vanish at x1 = -1, where the
+    # divisor 1 + x1 of G as written does too
     m = loads("model drop\nparams p\nvars x1\nG1 = x1 + 1 - p/(1 + x1)\n")
-    (fp,) = find_fixed_points(m, {"p": 0})
-    assert fp.point == (-1.0,) and fp.denom_margin == 1.0
+    assert find_fixed_points(m, {"p": 0}) == []
     m = loads("model splice\nparams p\nvars x1\nG1 = x1 + p*(-x1*(x1 + 1)/(x1 + 1) + x1^2 + x1)\n")
-    assert [fp.point for fp in find_fixed_points(m, {"p": 1})] == [(-1.0,), (0.0,)]
+    assert [fp.point for fp in find_fixed_points(m, {"p": 1})] == [(0.0,)]
     m = loads("model slow\nparams q\nvars x1\nG1 = 2*x1 + y1/q\n")
     with pytest.raises(ZeroDenominatorError, match="after substitution"):
         find_fixed_points(m, {"q": 0})
@@ -843,6 +846,71 @@ def test_conditions_match_sympy_hurwitz_minors(fixed_point_models, name, params)
         weights, _ = binder.weights(point)
         got = [binder.value(i, weights) for i in range(len(sa.inequalities))]
         assert [sympy.sign(v) for v in got] == [sympy.sign(v) for v in want], (name, point)
+
+
+CANCELLED = "model cancelled\nparams p\nvars x1\nG1 = (x1^2 - 1)/(x1 - 1) + y1*0 - p\n"
+
+
+@pytest.mark.parametrize("params", [None, {"p": 2}])
+def test_conditions_keep_a_divisor_that_cancels(params):
+    # the reduced G1 is x1 + 1 - p over 1, but G1 as written is undefined
+    # at x1 = 1
+    sa = assemble_semialgebraic(loads(CANCELLED), params)
+    assert [line for line in sa.render() if line.startswith("NEQ")] == ["NEQ: x1 - 1 != 0"]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("wound_strings", None),
+    ("wound_strings", WS_PARAMS),
+    ("airfoil", None),
+    ("tractor_seat", None),
+    ("chain2", CHAIN_PARAMS),
+    ("cancelled", None),
+    ("degen", {"p": 0}),
+])
+def test_inequations_vanish_only_where_a_divisor_does(fixed_point_models, name, params):
+    """Each NEQ polynomial divides the numerator of a divisor of G as
+    written (sympy-cancelled at y = 0 with the values bound), so it vanishes
+    only where that divisor does or one inside it is undefined; and each such
+    numerator that involves a position has its zeros among theirs."""
+    sympy = pytest.importorskip("sympy")
+    m = fixed_point_models.get(name) or loads({"cancelled": CANCELLED, "degen": DEGEN}[name])
+    sa = assemble_semialgebraic(m, params)
+    syms = {v: sympy.Symbol(v) for v in m.xs + m.ys + m.params}
+    at = {syms[y]: 0 for y in m.ys}
+    for p, v in (params or {}).items():
+        at[syms[p]] = sympy.Rational(v.numerator, v.denominator)
+    gens = [syms[v] for v in sa.vars]
+    numerators = [
+        sympy.numer(sympy.cancel(sympy.sympify(str(d).replace("^", "**"), locals=syms).subs(at)))
+        for g in m.G for d in kcc._divisors(g)
+    ]
+    numerators = [p for p in numerators if p.free_symbols & set(gens[:m.n])]
+    neqs = [sum(c * sympy.Mul(*[v ** e for v, e in zip(gens, k)]) for k, c in p.items())
+            for p in sa.inequations]
+    if not numerators:
+        assert neqs == [1]
+        return
+
+    def divides(a, b):
+        return sympy.denom(sympy.cancel(b / a)).is_number
+
+    for neq in neqs:
+        assert any(divides(neq, num) for num in numerators), (name, neq)
+    for num in numerators:
+        assert divides(num, sympy.Mul(*neqs)), (name, num)
+
+
+def test_reduced_condition_sizes(fixed_point_models):
+    # without the gcd the a_n condition had degree 266 and 184 terms, and
+    # the bound chain's P[0][0] degree 10/10
+    sa = assemble_semialgebraic(fixed_point_models["wound_strings"])
+    a_n = sa.inequalities[0]
+    assert (max(map(sum, a_n)), len(a_n)) == (42, 16)
+    m = fixed_point_models["chain2"]
+    at = {**CHAIN_PARAMS, **{y: 0 for y in m.ys}}
+    p00 = canonicalize(substitute(m.compiled.invariants.P[0][0], at), m.xs)
+    assert (max(map(sum, p00.num)), max(map(sum, p00.den))) == (4, 4)
 
 
 def test_render_tags():
