@@ -84,6 +84,7 @@ from .stability import (
     classify,
     classify_all,
     classify_matrix,
+    classify_matrices,
     count_stable,
     find_fixed_points,
     hurwitz_determinants,

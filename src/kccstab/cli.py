@@ -136,8 +136,8 @@ def _parse_vector(text: str, flag: str) -> list[float]:
 
 
 def _check_seeds(seeds: int) -> int:
-    if seeds < 2:
-        raise UsageError(f"--seeds must be at least 2 per axis, got {seeds}")
+    if seeds < 3:
+        raise UsageError(f"--seeds must be at least 3 per axis (2 seed only the box corners), got {seeds}")
     return seeds
 
 
@@ -493,13 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-points", help="locate fixed points")
     _add_common(p)
     p.add_argument("--box", default="", help="search box lo:hi[,lo:hi...]")
-    p.add_argument("--seeds", type=int, default=9, help="seed points per axis (at least 2)")
+    p.add_argument("--seeds", type=int, default=9, help="seed points per axis (at least 3)")
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("classify", help="classify fixed points")
     _add_common(p)
     p.add_argument("--box", default="", help="search box lo:hi[,lo:hi...]")
-    p.add_argument("--seeds", type=int, default=9, help="seed points per axis (at least 2)")
+    p.add_argument("--seeds", type=int, default=9, help="seed points per axis (at least 3)")
     p.add_argument("--point", default="", help="classify this point only")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="decision tolerance")
     p.set_defaults(func=cmd_classify)

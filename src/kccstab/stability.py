@@ -80,14 +80,16 @@ def _zero_like(v):
 def _scaled(v, f: Fraction):
     if isinstance(v, CanonicalRational):
         return v.scale(f)
-    return v * f
+    # a Fraction factor would turn a float array into an object array
+    return v * float(f) if isinstance(v, np.ndarray) else v * f
 
 
 def char_poly(A: Sequence[Sequence], check=None) -> list:
     """Coefficients [a_1..a_n] of det(lambda I - A) = l^n + a_1 l^(n-1) + ... + a_n.
 
     Faddeev–LeVerrier recursion; works over floats, Fractions and
-    CanonicalRational entries alike.  `check(value, context)`, when given, is
+    CanonicalRational entries alike, and over 1-d float arrays, which run
+    one matrix per array position.  `check(value, context)`, when given, is
     called with context "characteristic polynomial" on each coefficient and
     on every entry of the products A·M_k for k >= 2 (the first product is A
     itself); it aborts the computation by raising.
@@ -152,15 +154,18 @@ def hurwitz_matrix(coeffs: Sequence) -> list[list]:
 def hurwitz_determinants(coeffs: Sequence, check=None) -> list:
     """Leading principal minors [Delta_1..Delta_n] of the Hurwitz matrix.
 
-    `check(value, context)`, when given, is called on each minor as soon as
-    it is formed, with context "Hurwitz determinant k"; it aborts the
-    computation by raising.
+    Delta_1 = a_1, and Delta_n = a_n·Delta_{n-1} as a_n is the only nonzero
+    entry in the last column (Gantmacher, Theory of Matrices II, ch. XV), so
+    only Delta_2..Delta_{n-1} are expanded.  `check(value, context)`, when
+    given, is called on each minor as soon as it is formed, with context
+    "Hurwitz determinant k"; it aborts the computation by raising.
     """
     H = hurwitz_matrix(coeffs)
-    return [
-        _checked(check, det([row[:k] for row in H[:k]]), f"Hurwitz determinant {k}")
-        for k in range(1, len(coeffs) + 1)
-    ]
+    dets = [_checked(check, coeffs[0], "Hurwitz determinant 1")]
+    for k in range(2, len(H) + 1):
+        d = coeffs[-1] * dets[-1] if k == len(H) else det([row[:k] for row in H[:k]])
+        dets.append(_checked(check, d, f"Hurwitz determinant {k}"))
+    return dets
 
 
 # --------------------------------------------------------------------------
@@ -215,8 +220,8 @@ def find_fixed_points(
     position (`FixedPointSystem.divisor_numerators`), stays above
     DEFAULT_DENOM_MARGIN in magnitude, and the true residual max_i |G_i| is
     below DEFAULT_RESIDUAL_SCALE * (1 + |x|).  Duplicates
-    within DEFAULT_DEDUP_RADIUS (max-norm) collapse, earlier seeds first;
-    results sort lexicographically.
+    within DEFAULT_DEDUP_RADIUS (max-norm) collapse, earlier seeds first, by
+    vector comparisons (`_first_of_each_root`); results sort lexicographically.
 
     The numerators and denominators are those of
     `model.compiled.fixed_points.bind`, the reduced canonical pairs of the
@@ -265,13 +270,21 @@ def find_fixed_points(
         resid = np.abs(_on_rows(f_num, x, c_num) / dvals[:, :n]).max(axis=1)
         keep &= resid <= DEFAULT_RESIDUAL_SCALE * (1.0 + np.abs(x).max(axis=1))
 
-    found: list[FixedPoint] = []
-    for row, r, d in zip(x[keep], resid[keep], margin[keep]):
-        pt = tuple(float(c) for c in row)
-        if any(max(abs(a - b) for a, b in zip(pt, q.point)) <= DEFAULT_DEDUP_RADIUS for q in found):
-            continue
-        found.append(FixedPoint(point=pt, residual=float(r), denom_margin=float(d)))
-    return _in_print_order(found)
+    x, resid, margin = x[keep], resid[keep], margin[keep]
+    return _in_print_order([
+        FixedPoint(point=tuple(x[i].tolist()), residual=float(resid[i]), denom_margin=float(margin[i]))
+        for i in _first_of_each_root(x)
+    ])
+
+
+def _first_of_each_root(x: np.ndarray) -> list[int]:
+    """Indices of the rows of x that no earlier kept row is within
+    DEFAULT_DEDUP_RADIUS of (max-norm): one array comparison per kept row."""
+    kept, alive = [], np.arange(len(x))
+    while len(alive):
+        kept.append(alive[0])
+        alive = alive[1:][np.abs(x[alive[1:]] - x[alive[0]]).max(axis=1) > DEFAULT_DEDUP_RADIUS]
+    return kept
 
 
 def _in_print_order(points: list[FixedPoint]) -> list[FixedPoint]:
@@ -356,52 +369,54 @@ def classify_matrix(P: np.ndarray, point: tuple[float, ...] = (), tol: float = D
     `tol` acts scale-free; any decisive quantity inside the tolerance band,
     or any disagreement with the eigenvalue sign check, yields Indeterminate.
     """
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    raw_coeffs = char_poly(P)
+    return classify_matrices(np.asarray(P, dtype=float)[None], [point], tol)[0]
+
+
+def classify_matrices(
+    Ps: np.ndarray, points: Sequence[tuple[float, ...]], tol: float = DEFAULT_TOL
+) -> list[StabilityReport]:
+    """`classify_matrix` of every matrix in the (m, n, n) stack Ps, in one pass:
+    `char_poly` and `hurwitz_determinants` run on a matrix of length-m arrays,
+    so each report has the floats of its matrix alone, in the same order."""
+    Ps = np.asarray(Ps, dtype=float)
+    n = Ps.shape[1]
+
+    def entries(stack):
+        return [[stack[:, i, j] for j in range(n)] for i in range(n)]
+
+    def per_point(values):
+        return np.array(values).T.tolist()
+
+    raw_coeffs = char_poly(entries(Ps))
     raw_hurwitz = hurwitz_determinants(raw_coeffs)
-    eigs = sorted(np.linalg.eigvals(P), key=lambda z: (-z.real, -z.imag))
-    scale = float(np.max(np.abs(P)))
-    if scale == 0.0:
-        return StabilityReport(
-            point=point,
-            verdict=INDETERMINATE,
-            char_coeffs=tuple(raw_coeffs),
-            hurwitz=tuple(raw_hurwitz),
-            eigenvalues=tuple(complex(z) for z in eigs),
-            scale=0.0,
-            decision_values=(0.0,) * (n + 1),
-            rh_verdict=INDETERMINATE,
-            eig_verdict=INDETERMINATE,
-        )
-    coeffs_n = char_poly(P / scale)
-    hur_n = hurwitz_determinants(coeffs_n)
-    decision = [coeffs_n[-1]] + list(hur_n)
-    if any(v < -tol for v in decision):
-        rh = UNSTABLE
-    elif all(v > tol for v in decision):
-        rh = STABLE
-    else:
-        rh = INDETERMINATE
-    max_re = max(z.real for z in eigs) / scale
-    if max_re > tol:
-        ev = UNSTABLE
-    elif max_re < -tol:
-        ev = STABLE
-    else:
-        ev = INDETERMINATE
-    verdict = rh if rh == ev else INDETERMINATE
-    return StabilityReport(
-        point=point,
-        verdict=verdict,
-        char_coeffs=tuple(float(c) for c in raw_coeffs),
-        hurwitz=tuple(float(h) for h in raw_hurwitz),
-        eigenvalues=tuple(complex(z) for z in eigs),
-        scale=scale,
-        decision_values=tuple(decision),
-        rh_verdict=rh,
-        eig_verdict=ev,
-    )
+    scales = np.abs(Ps).max(axis=(1, 2))
+    with np.errstate(all="ignore"):
+        coeffs_n = char_poly(entries(Ps / scales[:, None, None]))
+    decisions = per_point([coeffs_n[-1]] + hurwitz_determinants(coeffs_n))
+    reports = []
+    for point, eigvals, c, h, scale, decision in zip(
+        points, np.linalg.eigvals(Ps), per_point(raw_coeffs), per_point(raw_hurwitz),
+        scales.tolist(), decisions,
+    ):
+        eigs = tuple(complex(z) for z in sorted(eigvals, key=lambda z: (-z.real, -z.imag)))
+        if scale == 0.0:
+            decision, rh, ev = [0.0] * (n + 1), INDETERMINATE, INDETERMINATE
+        else:
+            rh = _sign_verdict(decision, tol)
+            ev = _sign_verdict([-max(z.real for z in eigs) / scale], tol)
+        reports.append(StabilityReport(
+            point=tuple(point), verdict=rh if rh == ev else INDETERMINATE,
+            char_coeffs=tuple(c), hurwitz=tuple(h), eigenvalues=eigs, scale=scale,
+            decision_values=tuple(decision), rh_verdict=rh, eig_verdict=ev,
+        ))
+    return reports
+
+
+def _sign_verdict(values, tol: float) -> str:
+    """Unstable when a value is below -tol, Stable when all are above tol."""
+    if any(v < -tol for v in values):
+        return UNSTABLE
+    return STABLE if all(v > tol for v in values) else INDETERMINATE
 
 
 def classify(
@@ -421,10 +436,12 @@ def classify_all(
     seeds: int = DEFAULT_SEEDS_PER_AXIS,
     tol: float = DEFAULT_TOL,
 ) -> list[tuple[FixedPoint, StabilityReport]]:
-    """Locate all fixed points in the box and classify each."""
+    """Locate all fixed points in the box and classify each: P point by
+    point, then one `classify_matrices` pass with `classify_matrix`'s floats."""
     fps = find_fixed_points(model, params, box, seeds)
     clf = Classifier(model, params)
-    return [(fp, clf.classify(fp.point, tol)) for fp in fps]
+    Ps = np.array([clf.curvature_at(fp.point) for fp in fps]).reshape(-1, model.n, model.n)
+    return list(zip(fps, classify_matrices(Ps, [fp.point for fp in fps], tol)))
 
 
 def count_stable(

@@ -250,6 +250,23 @@ def test_seed_grid_below_two_is_usage_error(capsys, command, seeds):
     assert "--seeds" in err and out == ""
 
 
+@pytest.mark.parametrize("command", ["fixed-points", "classify"])
+def test_corner_only_seed_grid_is_usage_error(capsys, command):
+    # two seeds per axis are the four corners of the box: the origin, a
+    # fixed point inside it, would be missed without a word
+    rc, out, err = run(capsys, [command, *AIRFOIL_1, "--seeds", "2", "--box", "-1:1"])
+    assert rc == 1
+    assert "--seeds" in err and "3" in err and out == ""
+
+
+def test_three_seeds_per_axis_find_the_origin(capsys):
+    rc, out, _ = run(capsys, ["fixed-points", *AIRFOIL_1, "--seeds", "3", "--box", "-1:1"])
+    assert rc == 0
+    assert "3 fixed point(s) found" in out
+    for pt in ("(-0.154982634917, 0.120226537118)", "(0, 0)", "(0.154982634917, -0.120226537118)"):
+        assert f"x = {pt}" in out
+
+
 KEYWORD_MODEL = """model kw
 params {p}=2
 vars {x} x2

@@ -42,7 +42,13 @@ from kccstab.expr import (
     substitute,
 )
 from kccstab.kcc import invariants, kcc_deviation
-from kccstab.models import BUILTIN_NAMES, TRACTOR_SEAT_CASES, builtin, loads
+from kccstab.models import (
+    BUILTIN_NAMES,
+    TRACTOR_SEAT_CASES,
+    TRACTOR_SEAT_REFERENCE_PARAMS,
+    builtin,
+    loads,
+)
 from kccstab.stability import (
     INDETERMINATE,
     STABLE,
@@ -156,6 +162,22 @@ def test_check_hook_sees_intermediate_products():
         hurwitz_determinants(coeffs, budget_check(0))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(-5, 5, max_denominator=9), min_size=1, max_size=5))
+def test_hurwitz_determinants_are_the_leading_minors(coeffs):
+    # Delta_1 = a_1 and Delta_n = a_n Delta_{n-1} replace two expansions
+    H = hurwitz_matrix(coeffs)
+    assert hurwitz_determinants(coeffs) == [
+        det([row[:k] for row in H[:k]]) for k in range(1, len(coeffs) + 1)
+    ]
+
+
+@pytest.mark.parametrize("name", ["wound_strings", "airfoil", "tractor_seat"])
+def test_last_symbolic_minor_is_the_full_determinant(name):
+    sa = assemble_semialgebraic(builtin(name))
+    assert sa.hurwitz_dets[-1] == det(hurwitz_matrix(sa.char_coeffs))
+
+
 _POLY_FORMS = ("{a}", "{a}*{s}", "{s} + {a}", "{a}*{s}*{t} - {b}")
 _RATIONAL_FORM = "({s} + {a})/({t}^2 + {c})"
 _small = st.integers(-3, 3)
@@ -263,6 +285,53 @@ def test_report_contents_at_wound_strings_point():
     assert min(rep.decision_values) > 1e-9
 
 
+def _chain_text(n):
+    """The n-mass chain with fixed ends, as in the benchmark's model_scaling."""
+    lines = [f"model chain{n}", "params k q b c", "vars " + " ".join(f"x{i}" for i in range(1, n + 1))]
+    for i in range(1, n + 1):
+        nb = "".join(f" - x{j}" for j in (i - 1, i + 1) if 1 <= j <= n)
+        lines.append(f"G{i} = (k*x{i} + q*(2*x{i}{nb}) - b*x{i}^3 + c*y{i})/(2*(1 + x{i}^2))")
+    return "\n".join(lines) + "\n"
+
+
+def _chain_draw(n, draw):
+    rng = random.Random(1000 * n + draw)
+    return {"k": Fraction(rng.randint(12, 20), 16), "q": Fraction(rng.randint(1, 3), 16),
+            "b": Fraction(rng.randint(3, 5), 16), "c": Fraction(rng.randint(1, 4), 16)}
+
+
+@pytest.fixture(scope="module")
+def chains():
+    return {n: loads(_chain_text(n)) for n in (3, 4)}
+
+
+_BUILTIN_SETS = [
+    ("wound_strings", WS_PARAMS, (-4, 4), 9),
+    ("airfoil", AIRFOIL_PARAMS, (-4, 4), 9),
+    ("airfoil", AIRFOIL_PARAMS_2, (-4, 4), 9),
+    ("tractor_seat", TRACTOR_SEAT_REFERENCE_PARAMS, (-10, 10), 5),
+]
+
+
+def _reports_match_per_point(model, params, box, seeds):
+    pairs = classify_all(model, params, box=box, seeds=seeds)
+    clf = Classifier(model, params)
+    assert pairs
+    assert [rep for _, rep in pairs] == [
+        classify_matrix(clf.curvature_at(fp.point), fp.point) for fp, _ in pairs
+    ]
+
+
+@pytest.mark.parametrize("name, params, box, seeds", _BUILTIN_SETS)
+def test_batched_reports_equal_per_point_reports(name, params, box, seeds):
+    _reports_match_per_point(builtin(name), params, box, seeds)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_batched_chain_reports_equal_per_point_reports(chains, n):
+    _reports_match_per_point(chains[n], _chain_draw(n, 0), None, 5)
+
+
 # ---------------------------------------------------------------------------
 # fixed-point search
 
@@ -330,6 +399,24 @@ def test_singular_seeds_fail_alone():
     for (fp, rep), (point, verdict) in zip(pairs, expect):
         assert max(abs(c - w) for c, w in zip(fp.point, point)) < 1e-12
         assert rep.verdict == verdict
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("draw", range(3))
+def test_dedup_keeps_the_first_seed_of_each_root(chains, monkeypatch, n, draw):
+    m, params = chains[n], _chain_draw(n, draw)
+    got = find_fixed_points(m, params, seeds=5)
+    in_print_order, radius = stability._in_print_order, stability.DEFAULT_DEDUP_RADIUS
+    # every converged candidate, in seed order
+    monkeypatch.setattr(stability, "_first_of_each_root", lambda x: range(len(x)))
+    monkeypatch.setattr(stability, "_in_print_order", list)
+    candidates = find_fixed_points(m, params, seeds=5)
+    kept = []
+    for fp in candidates:
+        if all(max(abs(a - b) for a, b in zip(fp.point, q.point)) > radius for q in kept):
+            kept.append(fp)
+    assert len(kept) == 3 ** n < len(candidates)
+    assert got == in_print_order(kept)
 
 
 def test_points_sort_as_printed():
