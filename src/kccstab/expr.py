@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -661,6 +662,8 @@ def compile_callable(exprs: Sequence[Expr], argnames: Sequence[str]) -> Callable
     The generated function returns a tuple of floats (one per expression).
     Every free symbol must appear in `argnames`; constants are embedded as
     correctly rounded floats.  Division by zero raises ZeroDivisionError.
+    Each distinct subexpression is computed once, at its first use, with
+    the float operations of the written-out tree in its order.
     The generated source names the arguments by position (`_a0, _a1, ...`),
     so any symbol name is safe, Python keywords included.  The arguments
     may also be equal-length numpy arrays, evaluated elementwise; an entry
@@ -671,7 +674,7 @@ def compile_callable(exprs: Sequence[Expr], argnames: Sequence[str]) -> Callable
         missing = collect_symbols(e) - slots.keys()
         if missing:
             raise UnboundSymbolError(sorted(missing)[0])
-    body = ", ".join(pysrc(e, slots) for e in exprs)
+    body = ", ".join(_emit(exprs, slots))
     signature = ", ".join(f"_a{i}" for i in range(len(argnames)))
     src = f"def _compiled({signature}):\n    return ({body},)\n"
     fn = exec_generated(src, "_compiled", {})
@@ -692,25 +695,59 @@ def exec_generated(src: str, name: str, namespace: dict) -> Callable:
     return namespace[name]
 
 
-def pysrc(e: Expr, slots: Mapping[str, str]) -> str:
-    """Python source of `e` over float variables, each symbol named by `slots`.
+_P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = range(1, 6)  # emitted Python precedence
 
-    Constants are embedded as correctly rounded floats; one beyond the
-    float range is an ExprError.
+
+def _emit(exprs: Sequence[Expr], slots: Mapping[str, str]) -> list[str]:
+    """Python source of each expression over float variables named by `slots`.
+
+    One value numbering (operator and children's numbers) covers all `exprs`;
+    a node written more than once is bound as `(_tK := ...)` at its first
+    textual use and read as `_tK` after it.  With only the parentheses Python
+    needs and the operands in order, every float operation and the first
+    exception are those of the fully parenthesised tree.  A constant beyond
+    the float range is an ExprError.
     """
-    if isinstance(e, Constant):
-        return repr(to_float(e.value))
-    if isinstance(e, Symbol):
-        return slots[e.name]
-    if isinstance(e, Add):
-        return "(" + " + ".join(pysrc(a, slots) for a in e.args) + ")"
-    if isinstance(e, Mul):
-        return "(" + "*".join(pysrc(a, slots) for a in e.args) + ")"
-    if isinstance(e, Pow):
-        return f"{pysrc(e.base, slots)}**{e.exp}"
-    if isinstance(e, Div):
-        return f"({pysrc(e.num, slots)}/{pysrc(e.den, slots)})"
-    raise TypeError(type(e))  # pragma: no cover
+    index: dict[tuple, int] = {}  # (operator, payload, *child numbers) -> number
+    seen: dict[int, int] = {}  # id(node) -> number; every node outlives the call
+
+    def number(e: Expr) -> int:
+        if id(e) not in seen:
+            if isinstance(e, (Constant, Symbol)):  # a leaf is keyed on its text
+                key = ("", repr(to_float(e.value)) if isinstance(e, Constant) else slots[e.name])
+            elif isinstance(e, (Add, Mul)):
+                key = ("+" if isinstance(e, Add) else "*", None, *map(number, e.args))
+            elif isinstance(e, Pow):
+                key = ("^", e.exp, number(e.base))
+            else:
+                key = ("/", None, number(e.num), number(e.den))
+            seen[id(e)] = index.setdefault(key, len(index))
+        return seen[id(e)]
+
+    roots = [number(e) for e in exprs]
+    keys = list(index)
+    # each number is written out in full once, and its children with it
+    uses = Counter(roots + [c for key in keys for c in key[2:]])
+
+    def text(k: int, need: int) -> str:
+        op, arg, *kids = keys[k]
+        src, prec = arg, _P_NEG if op == "" and arg[0] == "-" else _P_ATOM
+        if op in ("+", "*"):  # left-associative: only a later operand needs more
+            prec, later = (_P_ADD, _P_MUL) if op == "+" else (_P_MUL, _P_NEG)
+            parts: list[str] = []
+            for c in kids:  # a loop, not a generator: one frame per level
+                parts.append(text(c, later if parts else prec))
+            src = (" + " if op == "+" else "*").join(parts)
+        elif op == "^":
+            src, prec = f"{text(kids[0], _P_ATOM)}**{arg}", _P_POW
+        elif op == "/":
+            src, prec = f"{text(kids[0], _P_MUL)}/{text(kids[1], _P_NEG)}", _P_MUL
+        if uses[k] > 1 and kids:
+            keys[k] = ("", f"_t{k}")  # a later use reads the temporary
+            return f"(_t{k} := {src})"
+        return f"({src})" if prec < need else src
+
+    return [text(k, 0) for k in roots]
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Constant, canonicalize, exec_generated, mul, p_to_expr, pysrc
+from .expr import Constant, _emit, canonicalize, exec_generated, mul, p_to_expr
 from .kcc import Model, ModelError, kcc_deviation
 from .stability import Classifier
 
@@ -101,7 +101,8 @@ def _rk4_trace(accel, guards, z0, t_end, dt, names, finite=True) -> Trace:
 
     `accel` holds the n accelerations and `guards` the denominators, as
     Python sources over the stage state `s0 .. s{2n-1}` (positions, then
-    velocities).  The loop over scalar floats is compiled once per call.
+    velocities), sharing temporaries: each distinct subexpression is computed
+    once per stage, at its first use.  The loop is compiled once per call.
     Its stages follow the operation order of the vector form z + (h/2)·k1,
     z + h·k3, z + (h/6)·(k1 + 2k2 + 2k3 + k4), so the states are those of
     that form bit for bit.  Each stage checks the least guard magnitude
@@ -163,10 +164,10 @@ def integrate(
     gs = model.g_bound(params)
     dens = [p_to_expr(canonicalize(g, args).den, args) for g in gs]
     # a constant canonical denominator is a nonzero integer: never below 1e-10
-    guards = [pysrc(d, slots) for d in dens if not isinstance(d, Constant)]
-    accel = [pysrc(mul(-2, g), slots) for g in gs]
+    guards = [d for d in dens if not isinstance(d, Constant)]
+    srcs = _emit(guards + [mul(-2, g) for g in gs], slots)
     z0 = [float(v) for v in x0] + [float(v) for v in y0]
-    return _rk4_trace(accel, guards, z0, t_end, dt, args)
+    return _rk4_trace(srcs[len(guards):], srcs[:len(guards)], z0, t_end, dt, args)
 
 
 # ---------------------------------------------------------------------------
@@ -408,23 +409,24 @@ def perturbation_oracle(
     )
 
 
-def _write_csv(path, header: Sequence[str], rows) -> None:
-    """Header, then float rows at 17 significant digits: csv.writer's bytes."""
+def _write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Header, then float rows at 17 significant digits (csv.writer's bytes),
+    formatted 512 rows per `%` so that memory stays flat."""
     import csv
 
     fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(fmt % row for row in rows)
+        for i in range(0, len(columns[0]), 512):
+            block = np.column_stack([c[i:i + 512] for c in columns])
+            fh.write(fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Write a trace as CSV: header t,<state names>, 17 significant digits."""
-    rows = ((t, *z.tolist()) for t, z in zip(trace.times, trace.states))
-    _write_csv(path, ["t", *trace.names], rows)
+    _write_csv(path, ["t", *trace.names], [trace.times, trace.states])
 
 
 def write_profile_csv(profile: FocusingProfile, path) -> None:
     """Write a focusing profile as CSV with header t,norm_sq,t_sq."""
-    rows = zip(profile.times, profile.norm_sq, profile.t_sq)
-    _write_csv(path, ["t", "norm_sq", "t_sq"], rows)
+    _write_csv(path, ["t", "norm_sq", "t_sq"], [profile.times, profile.norm_sq, profile.t_sq])

@@ -493,15 +493,26 @@ def test_deeply_nested_models_are_model_errors(capsys, tmp_path):
     assert rc == 2
     assert_one_line_error(err, "nested too deeply")
 
-    # Horner forms parse, but nest too deeply for the Python compiler
-    # (150 levels) and for the recursive tree walkers (240 levels)
-    for depth in (150, 240):
-        horner = "x1"
+    # Horner forms parse; the generated source has one pair of parentheses
+    # per level, so 150 levels compile and run, while 200 and 240 levels
+    # nest too deeply for the Python compiler
+    def horner(depth):
+        form = "x1"
         for _ in range(depth):
-            horner = f"({horner} + 1)*x1"
+            form = f"({form} + 1)*x1"
         path = tmp_path / f"horner{depth}.kcc"
-        path.write_text(f"model h\nvars x1\nG1 = {horner}/1000\n")
-        rc, _, err = run(capsys, ["classify", "--model", str(path), "--seeds", "3"])
+        path.write_text(f"model h\nvars x1\nG1 = {form}/1000\n")
+        return str(path)
+
+    rc, out, err = run(capsys, ["classify", "--model", horner(150), "--seeds", "3"])
+    assert rc == 0, err
+    assert "x = (0)   Stable" in out
+    rc, _, err = run(capsys, ["simulate", "--model", horner(150), "--x0", "0.1",
+                              "--t-end", "0.01", "--dt", "0.001", "--out", str(tmp_path / "sim")])
+    assert rc == 0, err
+    assert (tmp_path / "sim" / "trajectory.csv").exists()
+    for depth in (200, 240):
+        rc, _, err = run(capsys, ["classify", "--model", horner(depth), "--seeds", "3"])
         assert rc == 2
         assert_one_line_error(err, "nested too deeply")
 

@@ -5,15 +5,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kccstab import expr
 from kccstab.expr import (
+    Add,
     CanonicalRational,
     Constant,
+    Div,
     ExprError,
+    Mul,
     ParseError,
+    Pow,
     Symbol,
     UnboundSymbolError,
     ZeroDenominatorError,
@@ -23,6 +27,7 @@ from kccstab.expr import (
     differentiate,
     div,
     evaluate,
+    exec_generated,
     mul,
     neg,
     p_eval,
@@ -372,6 +377,85 @@ def test_compile_callable_matches_evaluate():
         assert np.allclose(got, ref, rtol=1e-13)
 
 
+def _parenthesised(e, slots):
+    """The reference: every Add, Mul and Div in parentheses, repeats written out."""
+    if isinstance(e, Constant):
+        return repr(float(e.value))
+    if isinstance(e, Symbol):
+        return slots[e.name]
+    if isinstance(e, Add):
+        return "(" + " + ".join(_parenthesised(a, slots) for a in e.args) + ")"
+    if isinstance(e, Mul):
+        return "(" + "*".join(_parenthesised(a, slots) for a in e.args) + ")"
+    if isinstance(e, Pow):
+        return f"{_parenthesised(e.base, slots)}**{e.exp}"
+    return f"({_parenthesised(e.num, slots)}/{_parenthesised(e.den, slots)})"
+
+
+@st.composite
+def _dags(draw):
+    """A few roots over a pool of nodes, each built from earlier ones, so
+    subtrees are shared; Add and Mul are built unflattened, so they nest
+    to the right as well as to the left."""
+    pool = [x, y, Constant(Fraction(-1, 3)), Constant(Fraction(7, 10))]
+    for _ in range(draw(st.integers(1, 10))):
+        op = draw(st.sampled_from("++**^//c"))
+        args = tuple(draw(st.sampled_from(pool)) for _ in range(draw(st.integers(2, 3))))
+        if op == "+":
+            pool.append(Add(args))
+        elif op == "*":
+            pool.append(Mul(args))
+        elif op == "^":
+            pool.append(pow_(args[0], draw(st.integers(2, 3))))
+        elif op == "/":
+            pool.append(Div(args[0], args[1]))
+        else:
+            pool.append(Constant(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))))
+    return draw(st.lists(st.sampled_from(pool[4:]), min_size=1, max_size=3))
+
+
+# zeros and huge values make divisions and powers raise; the rest round
+_inputs = st.one_of(
+    st.sampled_from([0.0, 0.1, -0.7, 1 / 3, 2.5, 1e-200, 1e200, -1e155]),
+    st.floats(-1e3, 1e3).filter(lambda v: v != int(v)),
+)
+
+
+def _outcome(fn, *args):
+    """The bytes of each result, or the type of the exception raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return [np.asarray(v, dtype=float).tobytes() for v in fn(*args)]
+    except (ZeroDivisionError, OverflowError) as e:
+        return type(e)
+
+
+@given(_dags(), st.lists(st.tuples(_inputs, _inputs), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+# a float power overflows where the product of the same operands gives inf
+@example(roots=[pow_(Add((x, y)), 2)], points=[(1e200, 0.1)])
+# a right-nested sum that rounds differently when read left to right
+@example(roots=[Add((x, Add((y, Constant(Fraction(3, 10))))))], points=[(0.1, 0.2)])
+# the division raises first; the shared power would overflow if computed early
+@example(roots=[Add((Div(x, y), pow_(x, 2), pow_(x, 2)))], points=[(1e200, 0.0)])
+def test_compiled_source_is_bit_identical_to_parenthesised(roots, points):
+    fn = compile_callable(roots, ["x", "y"])
+    slots = {"x": "_a0", "y": "_a1"}
+    body = ", ".join(_parenthesised(e, slots) for e in roots)
+    ref = exec_generated(f"def _ref(_a0, _a1):\n    return ({body},)\n", "_ref", {})
+    for px, py in points:
+        assert _outcome(fn, px, py) == _outcome(ref, px, py), fn.__source__
+    xs, ys = np.array(points).T
+    assert _outcome(fn, xs, ys) == _outcome(ref, xs, ys), fn.__source__
+
+
+def test_compiled_source_shares_subexpressions():
+    s = add(pow_(x, 2), y)
+    fn = compile_callable([mul(s, s, Fraction(1, 3)), div(x, s)], ["x", "y"])
+    assert fn.__source__.count("_a0**2") == 1
+    assert fn(2.0, 1.0) == ((1 / 3) * 5.0 * 5.0, 2.0 / 5.0)
+
+
 def test_compiled_division_by_zero_raises():
     fn = compile_callable([parse("1/x")], ["x"])
     with pytest.raises(ZeroDivisionError):
@@ -391,8 +475,9 @@ def test_numbers_beyond_float_range():
 def test_deep_nesting_is_an_error_not_a_crash():
     with pytest.raises(ParseError, match="nested too deeply"):
         parse("(" * 3000 + "x" + ")" * 3000)
+    # one pair of parentheses per level: the Python compiler stops at 200
     deep = x
-    for _ in range(150):
+    for _ in range(200):
         deep = mul(add(deep, 1), x)
     with pytest.raises(ExprError, match="nested too deeply to compile"):
         compile_callable([deep], ["x"])

@@ -1,6 +1,9 @@
 """Integration, matrix exponentials, focusing profiles, CSV export."""
 
+import contextlib
 import csv
+import hashlib
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kccstab.cli import main
 from kccstab.kcc import Model, kcc_deviation
 from kccstab.expr import canonicalize, compile_callable, mul, p_to_expr, parse
 from kccstab.models import TRACTOR_SEAT_REFERENCE_PARAMS, builtin
@@ -525,6 +529,62 @@ def test_csv_bytes_match_csv_writer(tmp_path):
         tmp_path / "ref.csv",
     )
     assert (tmp_path / "prof.csv").read_bytes() == expect
+
+
+@pytest.mark.parametrize("nrows", [1, 511, 512, 513])
+def test_block_csv_matches_row_by_row(tmp_path, nrows):
+    rng = np.random.default_rng(nrows)
+    states = rng.normal(size=(nrows, 3)) * 10.0 ** rng.integers(-300, 300, size=(nrows, 3))
+    states[::7, 0] = np.nan
+    states[::5, 1] = np.inf
+    states[::3, 2] = -np.inf
+    tr = Trace(times=np.arange(nrows) * 1e-3, states=states,
+               names=("x1", "y1", "z"), dt=1e-3, method="rk4")
+    write_trace_csv(tr, tmp_path / "trace.csv")
+    expect = csv_writer_bytes(
+        ["t", *tr.names], np.column_stack([tr.times, states]), tmp_path / "ref.csv"
+    )
+    assert (tmp_path / "trace.csv").read_bytes() == expect
+
+
+# The benchmark's seeded start points (seed 104729), run for 2k steps; the
+# digests were recorded before the compiled RK4 stage shared subexpressions
+# and before the CSV rows were formatted in blocks.
+SIMULATE_DIGESTS = [
+    ("wound_strings", "a=1/2,C=1,m=-1",
+     "1.9691790855779099,0.9677882144754251",
+     "0.008802453331723718,0.005890124794560523",
+     "0.9997627185442998,0.021783172608949165",
+     ("deb71658f69b557df38b5b561bcf63fbd829d4d981fe61de8a7665df8d7c73f3",
+      "5d831bae10b3877dab7526a1f9432cc0c32c1aeb705f4b8fe46674dec9d1099b",
+      "f6b8a1d3df293e472bd48e95031bf0609e08aa789251f40246183cd663df346b")),
+    ("airfoil", "Minf=2017/256,V=83/4",
+     "0.1577076550551505,-0.12172631500184049",
+     "0.0053984408520020444,0.003158269171928822",
+     "0.9876518695145015,-0.156664560908044",
+     ("f4d9353581e801819c99e7266cb7f0d48812aacd3bf69ad129ac95f0068e7cb8",
+      "b725443ae9421db02bd61ea2b9d8158563a9c376a2773b5a5e6d9889c080959c",
+      "db3b5a0d152fa0eeff59b454a4f373b11ced00bfff54023fd0ad5959b66edc09")),
+    ("tractor_seat", "M1=31/5,M2=57,M3=23,K1=20000,K2=37730,K3=1000,C1=750,C2=159,C3=1000",
+     "0.04587329382600416,-0.010064649917328063,0.009703305565921319",
+     "-0.0012588883719671668,0.002022215968238386,0.003244039073791276",
+     "0.2305550762503717,0.005863616043058267,-0.9730416100157716",
+     ("27d4296cc05555efd850ada14cfa0b08e7754358701f45f665821b941c1c9917",
+      "f54b8df2b2bdfd325fad93102dd16fd5cbed4eea0ac6faa2d33e6eb6bcd38eb8",
+      "a223b5b3077152e1ee6e74ed69a93f612d6114ecc84d4d2a212d71dca1008390")),
+]
+
+
+@pytest.mark.parametrize("name,params,x0,y0,w,digests", SIMULATE_DIGESTS,
+                         ids=[case[0] for case in SIMULATE_DIGESTS])
+def test_simulate_csvs_are_byte_stable(tmp_path, name, params, x0, y0, w, digests):
+    argv = ["simulate", "--model", name, "--params", params, "--x0", x0, "--y0", y0,
+            "--w", w, "--t-end", "2", "--dt", "1e-3", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("trajectory.csv", "deviation.csv", "focusing.csv"))
+    assert got == digests
 
 
 def test_profile_csv(tmp_path):
