@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -674,7 +675,10 @@ def compile_callable(exprs: Sequence[Expr], argnames: Sequence[str]) -> Callable
         missing = collect_symbols(e) - slots.keys()
         if missing:
             raise UnboundSymbolError(sorted(missing)[0])
-    body = ", ".join(_emit(exprs, slots))
+    try:
+        body = ", ".join(_emit(exprs, slots))
+    except RecursionError:
+        raise ExprError("expression nested too deeply to compile") from None
     signature = ", ".join(f"_a{i}" for i in range(len(argnames)))
     src = f"def _compiled({signature}):\n    return ({body},)\n"
     fn = exec_generated(src, "_compiled", {})
@@ -788,7 +792,7 @@ def p_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
+            m = tuple(map(operator.add, m1, m2))
             s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
@@ -901,12 +905,12 @@ def _exquo(p: Poly, q: Poly) -> Poly | None:
     rest, out = dict(p), {}
     while rest:
         m, c = p_leading(rest)
-        shift = tuple(a - b for a, b in zip(m, mq))
+        shift = tuple(map(operator.sub, m, mq))
         if min(shift) < 0 or any(s > r for s, r in zip(shift, room)) or c % cq:
             return None
         k = out[shift] = c // cq
         for m2, c2 in q.items():
-            m2 = tuple(a + b for a, b in zip(m2, shift))
+            m2 = tuple(map(operator.add, m2, shift))
             s = rest.get(m2, 0) - k * c2
             if s:
                 rest[m2] = s
@@ -1248,15 +1252,16 @@ def _canon_pair(vars: tuple[str, ...], num: Poly, den: Poly) -> CanonicalRationa
     num, den = _reduce_pair(num, den, nv)  # the shared integer content
     if not num:
         return CanonicalRational(vars, num, den)
-    # cancel the common monomial factor
-    mins = [min(m[i] for m in num) for i in range(nv)]
+    # cancel the common monomial factor; the numerator is scanned only in
+    # the variables that divide the denominator
+    mins = list(map(min, zip(*den)))
     for i in range(nv):
         if mins[i]:
-            mins[i] = min(mins[i], min(m[i] for m in den))
+            mins[i] = min(mins[i], min(m[i] for m in num))
     if any(mins):
         shift = tuple(mins)
-        num = {tuple(a - b for a, b in zip(m, shift)): c for m, c in num.items()}
-        den = {tuple(a - b for a, b in zip(m, shift)): c for m, c in den.items()}
+        num = {tuple(map(operator.sub, m, shift)): c for m, c in num.items()}
+        den = {tuple(map(operator.sub, m, shift)): c for m, c in den.items()}
     # over a monomial denominator the two steps above leave a coprime pair
     if len(den) > 1:
         g = p_gcd(num, den)

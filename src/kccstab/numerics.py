@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Constant, _emit, canonicalize, exec_generated, mul, p_to_expr
+from .expr import Constant, ExprError, _emit, canonicalize, exec_generated, mul, p_to_expr
 from .kcc import Model, ModelError, kcc_deviation
 from .stability import Classifier
 
@@ -161,11 +161,14 @@ def integrate(
         raise ModelError(f"initial condition must have {n} positions and velocities")
     args = model.xs + model.ys
     slots = {name: f"s{i}" for i, name in enumerate(args)}
-    gs = model.g_bound(params)
-    dens = [p_to_expr(canonicalize(g, args).den, args) for g in gs]
-    # a constant canonical denominator is a nonzero integer: never below 1e-10
-    guards = [d for d in dens if not isinstance(d, Constant)]
-    srcs = _emit(guards + [mul(-2, g) for g in gs], slots)
+    try:  # the binding and the reduction recurse as deeply as the source does
+        gs = model.g_bound(params)
+        dens = [p_to_expr(canonicalize(g, args).den, args) for g in gs]
+        # a constant canonical denominator is a nonzero integer: never below 1e-10
+        guards = [d for d in dens if not isinstance(d, Constant)]
+        srcs = _emit(guards + [mul(-2, g) for g in gs], slots)
+    except RecursionError:
+        raise ExprError("expression nested too deeply to compile") from None
     z0 = [float(v) for v in x0] + [float(v) for v in y0]
     return _rk4_trace(srcs[len(guards):], srcs[:len(guards)], z0, t_end, dt, args)
 

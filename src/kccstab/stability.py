@@ -34,6 +34,8 @@ from .expr import (
     collect_symbols,
     det,
     p_const,
+    p_exquo,
+    p_gcd,
     p_mul,
     p_primitive,
     p_str,
@@ -546,7 +548,26 @@ def assemble_semialgebraic(
     for row in P0:
         for cr in row:
             check(cr, "canonicalizing deviation curvature")
-    coeffs = char_poly(P0, check)
+    # P = P~/D with D the lcm of the entry denominators, so the recursion
+    # runs over polynomials (no gcd) and a_k(P) = c_k(P~)/D^k, reduced once
+    D = P0[0][0].den
+    for cr in itertools.chain.from_iterable(P0):
+        if cr.den != D:
+            D = p_mul(D, p_exquo(cr.den, p_gcd(D, cr.den)))
+    _bcheck(len(D), budget, "clearing P denominators")
+    one = p_const(1, len(order))
+    Pt = [
+        [CanonicalRational(order, p_mul(cr.num, p_exquo(D, cr.den)), one) for cr in row]
+        for row in P0
+    ]
+    for row in Pt:
+        for cr in row:
+            check(cr, "clearing P denominators")
+    coeffs, Dk = [], one
+    for ck in char_poly(Pt, check):
+        Dk = p_mul(Dk, D)
+        coeffs.append(ck / CanonicalRational(order, Dk, one))
+        check(coeffs[-1], "characteristic polynomial")
     dets = hurwitz_determinants(coeffs, check)
 
     inequalities: list[Poly] = []

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -159,6 +160,51 @@ def test_points_where_g_is_undefined_are_not_listed(capsys, tmp_path):
         rc, out, err = run(capsys, [command, "--model", str(mf), "--params", "p=0"])
         assert (rc, err) == (0, "")
         assert "0 fixed point(s) found" in out
+
+
+def _chain_model_text(n):
+    """The n-mass chain with fixed ends, G_i = (k x_i + q (2 x_i - x_{i-1} - x_{i+1})
+    - b x_i^3 + c y_i) / (2 (1 + x_i^2))."""
+    lines = [f"model chain{n}", "params k q b c", "vars " + " ".join(f"x{i}" for i in range(1, n + 1))]
+    for i in range(1, n + 1):
+        nb = "".join(f" - x{j}" for j in (i - 1, i + 1) if 1 <= j <= n)
+        lines.append(f"G{i} = (k*x{i} + q*(2*x{i}{nb}) - b*x{i}^3 + c*y{i})/(2*(1 + x{i}^2))")
+    return "\n".join(lines) + "\n"
+
+
+CHAIN_PARAMS = "k=13/16,q=1/16,b=1/4,c=1/8"
+# (model, --params, stdout length, stdout sha256)
+CONDITIONS_DIGESTS = [
+    ("wound_strings", None, 3454,
+     "5870aee5d39c689889f8c0aae580c77bac9a6ee1ef1904da2056822420dbd30a"),
+    ("airfoil", None, 2534,
+     "ed3d634d8284ebf6718dec1b00fd64cf62b4c9b8954ef2749c89c14b3ae21d0d"),
+    ("tractor_seat", None, 93911,
+     "a70a35afeaef30e36e2247ed9911a19870e2910c3fb152b63c2f788594fed34b"),
+    ("wound_strings", "a=1/2,C=1,m=-1", 1338,
+     "81097e723da2d3b4f03ba14aa5f0580ea8d467d718b8a844ceb29b4c50d0d67b"),
+    ("airfoil", "Minf=2017/256", 2665,
+     "129fd154593aef1b448bc17c72f6b083dfadcfc546138eea3857c4d2615ce74f"),
+    ("tractor_seat", "M1=31/5,M2=57,M3=23", 29264,
+     "074f7230b95351f024cc14113b7410a72a182587350f139866da80d3c86dc6df"),
+    ("chain1", CHAIN_PARAMS, 198,
+     "1ff57b6666f6b3a1218dedc86359b6c731d19351d45777b38c44d674a5883e46"),
+    ("chain2", CHAIN_PARAMS, 6717,
+     "7af2bfcd9fa955dbcb120001ce7e6e8959d72fabfc7ea64ef85efb0f1fa3ebe3"),
+]
+
+
+@pytest.mark.parametrize("model,params,size,digest", CONDITIONS_DIGESTS,
+                         ids=[f"{c[0]}-{'bound' if c[1] else 'free'}" for c in CONDITIONS_DIGESTS])
+def test_conditions_text_is_byte_stable(capsys, tmp_path, model, params, size, digest):
+    if model.startswith("chain"):
+        path = tmp_path / f"{model}.kcc"
+        path.write_text(_chain_model_text(int(model[5:])))
+        model = str(path)
+    rc, out, err = run(capsys, ["conditions", "--model", model] + (["--params", params] if params else []))
+    assert (rc, err) == (0, "")
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_conditions_budget_exhaustion_exit(capsys):

@@ -356,6 +356,64 @@ def test_gcd_and_exact_division_edge_cases():
         p_exquo(one, {})
 
 
+@st.composite
+def _sparse(draw, n, nonzero=False):
+    """A sparse integer polynomial in n variables: up to six terms of degree
+    up to 3 in each, with coefficients small enough that products cancel."""
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    coefficient = st.integers(-2, 2).filter(bool)
+    return draw(st.dictionaries(exponent, coefficient, min_size=int(nonzero), max_size=6))
+
+
+def _naive_mul(p, q):
+    """p_mul written out term by term: same loop order, same deletions."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+            if not out[m]:
+                del out[m]
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+@example(data=None)
+def test_sparse_kernel_matches_references(data):
+    """p_mul equals the term-by-term product as a dict and in key order,
+    p_exquo undoes it, and canonicalize over constant, monomial and
+    polynomial denominators gives sympy's cancelled fraction."""
+    sympy = pytest.importorskip("sympy")
+    if data is None:  # (x + y)(x - y): the x*y terms cancel and are deleted
+        n, a, b = 2, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}
+        num, den = {(2, 1): 3, (1, 2): -3}, {(1, 1): 6}
+    else:
+        n = data.draw(st.integers(1, 12))
+        a, b = data.draw(_sparse(n)), data.draw(_sparse(n, nonzero=True))
+        # den = g h and num = f h, with g and h constants, monomials or polynomials
+        kind = data.draw(st.sampled_from(["constant", "monomial", "polynomial"]))
+        exponent = st.tuples(*[st.integers(0, 3)] * n) if kind == "monomial" else st.just((0,) * n)
+        term = st.builds(lambda m, c: {m: c}, exponent, st.integers(-4, 4).filter(bool))
+        part = _factors(n) if kind == "polynomial" else term
+        h = data.draw(part)
+        num, den = p_mul(data.draw(_factors(n)), h), p_mul(data.draw(part), h)
+    product = p_mul(a, b)
+    assert list(product.items()) == list(_naive_mul(a, b).items())
+    assert p_exquo(product, b) == a
+    syms = sympy.symbols(f"v0:{n}")
+    names = [str(v) for v in syms]
+
+    def to_sympy(p):
+        return sum((c * sympy.Mul(*[v ** e for v, e in zip(syms, m)]) for m, c in p.items()),
+                   sympy.Integer(0))
+
+    cr = canonicalize(div(expr.p_to_expr(num, names), expr.p_to_expr(den, names)), names)
+    want_num, want_den = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+    assert sympy.expand(to_sympy(cr.num) * want_den - want_num * to_sympy(cr.den)) == 0
+    assert sympy.cancel(to_sympy(cr.den) / want_den).is_number
+
+
 # ---------------------------------------------------------------------------
 # compilation
 
@@ -475,9 +533,11 @@ def test_numbers_beyond_float_range():
 def test_deep_nesting_is_an_error_not_a_crash():
     with pytest.raises(ParseError, match="nested too deeply"):
         parse("(" * 3000 + "x" + ")" * 3000)
-    # one pair of parentheses per level: the Python compiler stops at 200
-    deep = x
-    for _ in range(200):
-        deep = mul(add(deep, 1), x)
-    with pytest.raises(ExprError, match="nested too deeply to compile"):
-        compile_callable([deep], ["x"])
+    # one pair of parentheses per level: the Python compiler stops at 200;
+    # at 600 the value numbering itself passes the recursion limit
+    for depth in (200, 600):
+        deep = x
+        for _ in range(depth):
+            deep = mul(add(deep, 1), x)
+        with pytest.raises(ExprError, match="nested too deeply to compile"):
+            compile_callable([deep], ["x"])

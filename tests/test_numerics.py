@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kccstab.cli import main
 from kccstab.kcc import Model, kcc_deviation
-from kccstab.expr import canonicalize, compile_callable, mul, p_to_expr, parse
+from kccstab.expr import ExprError, canonicalize, compile_callable, mul, p_to_expr, parse
 from kccstab.models import TRACTOR_SEAT_REFERENCE_PARAMS, builtin
 from kccstab.numerics import (
     BUNCHING,
@@ -145,6 +145,17 @@ def test_zero_division_aborts_at_the_stage_time():
     with pytest.raises(IntegrationError, match="reached zero") as ei:
         integrate(m, None, ([0.0], [1.0]), 1.0, 0.25)
     assert ei.value.time == 0.0
+
+
+def test_python_built_deep_model_is_an_expr_error():
+    # a Horner form built in Python skips the parser's depth limit; at 600
+    # levels it is an ExprError, not a RecursionError
+    x = parse("x1")
+    deep = x
+    for _ in range(600):
+        deep = mul(deep + 1, x)
+    with pytest.raises(ExprError, match="nested too deeply to compile"):
+        integrate(Model("h", ("x1",), (deep,)), None, ([0.1], [0.0]), 0.01, 0.001)
 
 
 def test_denominator_abort_at_start():
