@@ -338,9 +338,8 @@ class CompiledModel:
                       makes the reduced pairs at one parameter point
 
     Parameter values never enter this data.  The fixed-point search
-    evaluates the pairs of `bind` through `fixed_point_forms`, whose
-    functions take the coefficients as arguments and are compiled once per
-    monomial support.
+    evaluates the pairs of `bind` through `fixed_point_forms`: numerators
+    with their Jacobian, and denominators, compiled once per monomial support.
     """
 
     __slots__ = (
@@ -359,7 +358,10 @@ class CompiledModel:
     @property
     def invariants(self) -> KccInvariants:
         if self._invariants is None:
-            self._invariants = invariants(self.model)
+            try:
+                self._invariants = invariants(self.model)
+            except RecursionError:
+                raise ExprError("expression nested too deeply to differentiate") from None
         return self._invariants
 
     @property
@@ -387,7 +389,10 @@ class CompiledModel:
     @property
     def fixed_points(self) -> "FixedPointSystem":
         if self._fixed_points is None:
-            self._fixed_points = FixedPointSystem(self.model)
+            try:
+                self._fixed_points = FixedPointSystem(self.model)
+            except RecursionError:
+                raise ExprError("expression nested too deeply to canonicalize") from None
         return self._fixed_points
 
     def fixed_point_forms(
@@ -395,14 +400,14 @@ class CompiledModel:
     ) -> tuple[tuple[Callable, tuple[float, ...]], ...]:
         """Evaluators of exact pairs over `xs`, as (function, coefficients).
 
-        Returns them for the numerators, their Jacobian d nums_i / d x_j
-        row-major and the denominators; `fn(*point, *coefficients)` gives
-        the values.  Each polynomial is a sum of coefficient argument times
-        position monomial, with the terms in the order `p_to_expr` gives
-        them, so the values are bit-identical to those of `p_to_expr(p, xs)`
-        compiled with its coefficients embedded.  A function is compiled
-        once per tuple of monomial supports and kept; a coefficient beyond
-        the float range is an ExprError, as an embedded one is.
+        Returns two: the numerators then their Jacobian d nums_i / d x_j
+        row-major, under one value numbering, and the denominators;
+        `fn(*point, *coefficients)` gives the values.  Each polynomial is a
+        sum of coefficient argument times position monomial, with the terms
+        in the order `p_to_expr` gives them, so the values are bit-identical
+        to those of `p_to_expr(p, xs)` compiled with its coefficients
+        embedded.  A function is compiled once per tuple of monomial supports
+        and kept; a coefficient beyond the float range is an ExprError.
         """
         n = self.model.n
         jac = [p_diff(p, j) for p in nums for j in range(n)]
@@ -412,8 +417,9 @@ class CompiledModel:
         coeffs = {k: tuple(to_float(c) for t in terms[k] for _, c in t) for k in (0, 2, 1)}
         key = tuple(tuple(m for m, _ in t) for t in terms[0] + terms[2])
         if key not in self._forms:
-            self._forms[key] = tuple(_sum_of_terms(group, n) for group in terms)
-        return tuple(zip(self._forms[key], [coeffs[k] for k in range(3)]))
+            self._forms[key] = (_sum_of_terms(terms[0] + terms[1], n), _sum_of_terms(terms[2], n))
+        fused, den = self._forms[key]
+        return (fused, coeffs[0] + coeffs[1]), (den, coeffs[2])
 
     def _compile(self, *matrices) -> Callable:
         m = self.model

@@ -27,6 +27,7 @@ from .expr import (
     BudgetExceededError,
     CanonicalRational,
     Expr,
+    ExprError,
     ParameterBinder,
     Poly,
     ZeroDenominatorError,
@@ -211,24 +212,24 @@ def find_fixed_points(
     """All fixed points (y = 0, G(x, 0) = 0) found in the box, sorted.
 
     Newton iteration runs on the cleared numerators from a uniform seed grid,
-    one iteration at a time over every seed still iterating: the compiled
-    numerators and Jacobian are evaluated on arrays and the steps come from
-    one stacked solve.  Only in an iteration where that solve meets a
-    singular Jacobian are the steps solved seed by seed, so a singular seed
-    fails alone.  A seed fails on a non-finite value, a singular Jacobian or
-    leaving the escape radius, and converges when its step is below 1e-12
-    relative.  Converged candidates are kept only if every G_i denominator,
-    and the numerator of every divisor of G as written that involves a
-    position (`FixedPointSystem.divisor_numerators`), stays above
-    DEFAULT_DENOM_MARGIN in magnitude, and the true residual max_i |G_i| is
-    below DEFAULT_RESIDUAL_SCALE * (1 + |x|).  Duplicates
+    one iteration at a time over every seed still iterating: one compiled
+    call gives the numerators and their Jacobian on arrays, and the steps
+    come from one stacked solve.  Only in an iteration where that solve
+    meets a singular Jacobian are the steps solved seed by seed, so a
+    singular seed fails alone.  A seed fails on a non-finite value, a
+    singular Jacobian or leaving the escape radius, and converges when its
+    step is below 1e-12 relative.  Converged candidates are kept only if
+    every G_i denominator, and the numerator of every divisor of G as
+    written that involves a position (`FixedPointSystem.divisor_numerators`),
+    stays above DEFAULT_DENOM_MARGIN in magnitude, and the true residual
+    max_i |G_i| is below DEFAULT_RESIDUAL_SCALE * (1 + |x|).  Duplicates
     within DEFAULT_DEDUP_RADIUS (max-norm) collapse, earlier seeds first, by
     vector comparisons (`_first_of_each_root`); results sort lexicographically.
 
     The numerators and denominators are those of
     `model.compiled.fixed_points.bind`, the reduced canonical pairs of the
-    G_i at y = 0 at this parameter point, evaluated by functions compiled
-    once per monomial support (`model.compiled.fixed_point_forms`).
+    G_i at y = 0 at this parameter point, evaluated by the numerators with
+    their Jacobian, then the denominators (`model.compiled.fixed_point_forms`).
     """
     n = model.n
     bounds = _normalize_box(box, n)
@@ -236,9 +237,7 @@ def find_fixed_points(
     nums, dens = system.bind(params)
     # the divisor numerators are evaluated after the denominators
     divisors = system.divisor_numerators(params)
-    (f_num, c_num), (f_jac, c_jac), (f_den, c_den) = model.compiled.fixed_point_forms(
-        nums, dens + divisors
-    )
+    (f_fj, c_fj), (f_den, c_den) = model.compiled.fixed_point_forms(nums, dens + divisors)
 
     span = max(hi - lo for lo, hi in bounds)
     escape = 10.0 * span + 100.0
@@ -251,15 +250,18 @@ def find_fixed_points(
             if not len(active):
                 break
             x = X[active]
-            F = _on_rows(f_num, x, c_num)
-            J = _on_rows(f_jac, x, c_jac).reshape(-1, n, n)
-            ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
-            dx, solved = _newton_steps(J[ok], -F[ok])
-            active, x = active[ok][solved], x[ok][solved] + dx[solved]
+            FJ = _on_rows(f_fj, x, c_fj)
+            ok = np.isfinite(FJ).all(axis=1)
+            if not ok.all():
+                active, x, FJ = active[ok], x[ok], FJ[ok]
+            dx, solved = _newton_steps(FJ[:, n:].reshape(-1, n, n), -FJ[:, :n])
+            if not solved.all():
+                active, x, dx = active[solved], x[solved], dx[solved]
+            x += dx
             X[active] = x
             size = np.abs(x).max(axis=1)
             escaped = size > escape
-            done = ~escaped & (np.abs(dx[solved]).max(axis=1) <= 1e-12 * (1.0 + size))
+            done = ~escaped & (np.abs(dx).max(axis=1) <= 1e-12 * (1.0 + size))
             converged[active[done]] = True
             active = active[~escaped & ~done]
 
@@ -269,7 +271,7 @@ def find_fixed_points(
         dvals = np.abs(_on_rows(f_den, x, c_den))
         margin = dvals[:, :n].min(axis=1)
         keep &= dvals.min(axis=1) > DEFAULT_DENOM_MARGIN
-        resid = np.abs(_on_rows(f_num, x, c_num) / dvals[:, :n]).max(axis=1)
+        resid = np.abs(_on_rows(f_fj, x, c_fj)[:, :n] / dvals[:, :n]).max(axis=1)
         keep &= resid <= DEFAULT_RESIDUAL_SCALE * (1.0 + np.abs(x).max(axis=1))
 
     x, resid, margin = x[keep], resid[keep], margin[keep]
@@ -378,27 +380,27 @@ def classify_matrices(
     Ps: np.ndarray, points: Sequence[tuple[float, ...]], tol: float = DEFAULT_TOL
 ) -> list[StabilityReport]:
     """`classify_matrix` of every matrix in the (m, n, n) stack Ps, in one pass:
-    `char_poly` and `hurwitz_determinants` run on a matrix of length-m arrays,
-    so each report has the floats of its matrix alone, in the same order."""
+    `char_poly` and `hurwitz_determinants` run on a matrix of length-2m arrays,
+    Ps then Ps / scale (decision values), so each report has the floats of its
+    matrix alone, in the same order."""
     Ps = np.asarray(Ps, dtype=float)
-    n = Ps.shape[1]
-
-    def entries(stack):
-        return [[stack[:, i, j] for j in range(n)] for i in range(n)]
+    m, n = Ps.shape[:2]
 
     def per_point(values):
         return np.array(values).T.tolist()
 
-    raw_coeffs = char_poly(entries(Ps))
-    raw_hurwitz = hurwitz_determinants(raw_coeffs)
     scales = np.abs(Ps).max(axis=(1, 2))
     with np.errstate(all="ignore"):
-        coeffs_n = char_poly(entries(Ps / scales[:, None, None]))
-    decisions = per_point([coeffs_n[-1]] + hurwitz_determinants(coeffs_n))
+        normalized = Ps / scales[:, None, None]
+    stack = np.concatenate([Ps, normalized])
+    coeffs = char_poly([[stack[:, i, j] for j in range(n)] for i in range(n)])
+    hurwitz = hurwitz_determinants(coeffs)
+    raw_coeffs = per_point([c[:m] for c in coeffs])
+    raw_hurwitz = per_point([h[:m] for h in hurwitz])
+    decisions = per_point([c[m:] for c in [coeffs[-1]] + hurwitz])
     reports = []
     for point, eigvals, c, h, scale, decision in zip(
-        points, np.linalg.eigvals(Ps), per_point(raw_coeffs), per_point(raw_hurwitz),
-        scales.tolist(), decisions,
+        points, np.linalg.eigvals(Ps), raw_coeffs, raw_hurwitz, scales.tolist(), decisions,
     ):
         eigs = tuple(complex(z) for z in sorted(eigvals, key=lambda z: (-z.real, -z.imag)))
         if scale == 0.0:
@@ -528,23 +530,25 @@ def assemble_semialgebraic(
     zeros.update({y: 0 for y in model.ys})
 
     equations: list[Poly] = []
-    for g in model.G:
-        cr = canonicalize(substitute(g, zeros), order)
-        check(cr, "clearing G denominators")
-        equations.append(cr.num)
-    # the reduced G can have lost a divisor's zeros, so they come from G as written
     inequations: list[Poly] = []
-    for d in (d for g in model.G for d in _divisors(g) if collect_symbols(d) & set(model.xs)):
-        p = p_primitive(canonicalize(substitute(d, zeros), order).num)
-        if any(any(m[:model.n]) for m in p) and p not in inequations:
-            inequations.append(p)
+    try:
+        for g in model.G:
+            cr = canonicalize(substitute(g, zeros), order)
+            check(cr, "clearing G denominators")
+            equations.append(cr.num)
+        # the reduced G can have lost a divisor's zeros, so they come from G as written
+        for d in (d for g in model.G for d in _divisors(g) if collect_symbols(d) & set(model.xs)):
+            p = p_primitive(canonicalize(substitute(d, zeros), order).num)
+            if any(any(m[:model.n]) for m in p) and p not in inequations:
+                inequations.append(p)
+        P0 = [
+            [canonicalize(substitute(e, zeros), order) for e in row]
+            for row in model.compiled.invariants.P
+        ]
+    except RecursionError:
+        raise ExprError("expression nested too deeply to canonicalize") from None
     if not inequations:
         inequations.append(p_const(1, len(order)))
-
-    inv = model.compiled.invariants
-    P0 = [
-        [canonicalize(substitute(e, zeros), order) for e in row] for row in inv.P
-    ]
     for row in P0:
         for cr in row:
             check(cr, "canonicalizing deviation curvature")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kccstab.expr import (
+    ExprError,
     Symbol,
     add,
     canonicalize,
@@ -62,6 +63,17 @@ def ws_inv(ws):
 
 # ---------------------------------------------------------------------------
 # invariant definitions
+
+
+def test_deep_model_invariants_are_an_expr_error():
+    # a Horner form built in Python skips the parser's depth limit; at 600
+    # levels differentiating it is an ExprError, not a RecursionError
+    x = Symbol("x1")
+    deep = x
+    for _ in range(600):
+        deep = mul(add(deep, 1), x)
+    with pytest.raises(ExprError, match="nested too deeply"):
+        Model("deep", ("x1",), (add(deep, Symbol("y1")),)).compiled.invariants
 
 
 def test_wound_strings_curvature_matches_reference(ws_inv):

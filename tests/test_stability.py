@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -332,6 +333,39 @@ def test_batched_chain_reports_equal_per_point_reports(chains, n):
     _reports_match_per_point(chains[n], _chain_draw(n, 0), None, 5)
 
 
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def test_stacked_classification_matches_python_floats():
+    """Each report of one stacked pass has the values computed for its
+    matrix alone with Python floats: raw coefficients and minors from P,
+    decision values from P / scale."""
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 4):
+        Ps = rng.standard_normal((6, n, n)) * 10.0 ** rng.integers(-3, 4, size=(6, 1, 1))
+        Ps[2] = 0.0
+        for P, rep in zip(Ps, stability.classify_matrices(Ps, [()] * len(Ps))):
+            rows = P.tolist()
+            coeffs = char_poly(rows)
+            assert _hexes(rep.char_coeffs) == _hexes(coeffs)
+            assert _hexes(rep.hurwitz) == _hexes(hurwitz_determinants(coeffs))
+            scale = max(abs(v) for row in rows for v in row)
+            assert rep.scale == scale
+            if scale == 0.0:
+                assert rep.decision_values == (0.0,) * (n + 1)
+                continue
+            normalized = char_poly([[v / scale for v in row] for row in rows])
+            decision = [normalized[-1]] + hurwitz_determinants(normalized)
+            assert _hexes(rep.decision_values) == _hexes(decision)
+
+
+def test_zero_matrix_classifies_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert classify_matrix(np.zeros((2, 2))).verdict == INDETERMINATE
+
+
 # ---------------------------------------------------------------------------
 # fixed-point search
 
@@ -417,6 +451,119 @@ def test_dedup_keeps_the_first_seed_of_each_root(chains, monkeypatch, n, draw):
             kept.append(fp)
     assert len(kept) == 3 ** n < len(candidates)
     assert got == in_print_order(kept)
+
+
+def _reference_fixed_points(model, params, box, seeds):
+    """The Newton search with separate evaluators, coefficients embedded, for
+    the numerators, their Jacobian and the denominators, and the same
+    stacked `np.linalg.solve` steps."""
+    n, xs = model.n, model.xs
+    system = model.compiled.fixed_points
+    nums, dens = system.bind(params)
+    dens = dens + system.divisor_numerators(params)
+    jac = [p_diff(p, j) for p in nums for j in range(n)]
+    f_num, f_jac, f_den = (
+        compile_callable([p_to_expr(p, xs) for p in polys], xs) for polys in (nums, jac, dens)
+    )
+
+    def rows(fn, x):
+        vals = fn(*x.T)
+        out = np.empty((len(x), len(vals)))
+        for j, v in enumerate(vals):
+            out[:, j] = v
+        return out
+
+    def steps(J, rhs):
+        try:
+            return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), dtype=bool)
+        except np.linalg.LinAlgError:
+            dx, solved = np.zeros_like(rhs), np.ones(len(J), dtype=bool)
+            for k in range(len(J)):
+                try:
+                    dx[k] = np.linalg.solve(J[k], rhs[k])
+                except np.linalg.LinAlgError:
+                    solved[k] = False
+            return dx, solved
+
+    bounds = stability._normalize_box(box, n)
+    escape = 10.0 * max(hi - lo for lo, hi in bounds) + 100.0
+    X = np.array(list(itertools.product(*[np.linspace(lo, hi, seeds) for lo, hi in bounds])))
+    converged = np.zeros(len(X), dtype=bool)
+    active = np.arange(len(X))
+    with np.errstate(all="ignore"):
+        for _ in range(stability.MAX_NEWTON_STEPS):
+            if not len(active):
+                break
+            x = X[active]
+            F, J = rows(f_num, x), rows(f_jac, x).reshape(-1, n, n)
+            ok = np.isfinite(F).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+            dx, solved = steps(J[ok], -F[ok])
+            active, x = active[ok][solved], x[ok][solved] + dx[solved]
+            X[active] = x
+            size = np.abs(x).max(axis=1)
+            escaped = size > escape
+            done = ~escaped & (np.abs(dx[solved]).max(axis=1) <= 1e-12 * (1.0 + size))
+            converged[active[done]] = True
+            active = active[~escaped & ~done]
+        x = X[converged]
+        lo, hi = np.array(bounds).T
+        keep = ((x >= lo - 1e-9) & (x <= hi + 1e-9)).all(axis=1)
+        dvals = np.abs(rows(f_den, x))
+        margin = dvals[:, :n].min(axis=1)
+        keep &= dvals.min(axis=1) > stability.DEFAULT_DENOM_MARGIN
+        resid = np.abs(rows(f_num, x) / dvals[:, :n]).max(axis=1)
+        keep &= resid <= stability.DEFAULT_RESIDUAL_SCALE * (1.0 + np.abs(x).max(axis=1))
+    x, resid, margin = x[keep], resid[keep], margin[keep]
+    return stability._in_print_order([
+        FixedPoint(tuple(x[i].tolist()), float(resid[i]), float(margin[i]))
+        for i in stability._first_of_each_root(x)
+    ])
+
+
+def _airfoil_region_points(per_region=5):
+    """(params, box) of `per_region` seeded (Minf, V) points in each of C1..C5,
+    the box sized from the nonzero fixed-point pair as in the benchmark."""
+    rng = random.Random(104729)
+    picked = {label: [] for label, _, _ in stability.AIRFOIL_REGIONS}
+    while any(len(v) < per_region for v in picked.values()):
+        # C3 is a thin region: half the draws go to a window around it
+        c3 = len(picked["C3"]) < per_region and rng.random() < 0.5
+        minf = Fraction(rng.randint(41000 if c3 else 41, 49152), 4096)
+        v = Fraction(rng.randint(83968, 99942) if c3 else rng.randint(41, 122880), 4096)
+        label = airfoil_region_conditions(minf, v).label
+        if label is None or len(picked[label]) >= per_region:
+            continue
+        half, den = 2.0, minf * (v * v * minf - 5000)
+        if den and (x2_sq := 5 * (50 * minf - v * v) / den) > 0:
+            x2 = float(x2_sq) ** 0.5
+            half = max(2.0, 1.5 * x2 * (1 + 20 * x2 * x2))
+        picked[label].append(({"Minf": minf, "V": v}, (-half, half)))
+    return [point for points in picked.values() for point in points]
+
+
+def _search_cases():
+    for name, params, box, seeds in _BUILTIN_SETS:
+        yield builtin(name), params, box, seeds
+    airfoil = builtin("airfoil")
+    for params, box in _airfoil_region_points():
+        yield airfoil, params, box, 5
+    for n in (3, 4):
+        chain = loads(_chain_text(n))
+        for draw in range(3):
+            yield chain, _chain_draw(n, draw), None, 5
+
+
+def test_fixed_points_match_the_reference_search():
+    """One fused evaluator call per iteration gives exactly the fixed points
+    of the search with separate evaluators."""
+    cases = list(_search_cases())
+    assert len(cases) == 4 + 25 + 6
+    for model, params, box, seeds in cases:
+        got = find_fixed_points(model, params, box=box, seeds=seeds)
+        assert got, (model.name, params)
+        assert [repr(fp) for fp in got] == [
+            repr(fp) for fp in _reference_fixed_points(model, params, box, seeds)
+        ], (model.name, params)
 
 
 def test_points_sort_as_printed():
@@ -514,9 +661,9 @@ def test_model_derives_and_compiles_once(monkeypatch):
         params = {"Minf": Fraction(2017 + k, 256), "V": Fraction(83, 4)}
         assert count_stable(af, params, box=(-1, 1), seeds=5) == 2
     assert built == [af]
-    # fixed-point numerators, their 2 x 2 Jacobian and denominators, then
-    # the 2 x 2 curvature P; nothing is compiled per parameter point
-    assert compiled == [2, 4, 2, 4]
+    # fixed-point numerators with their 2 x 2 Jacobian, the denominators,
+    # then the 2 x 2 curvature P; nothing is compiled per parameter point
+    assert compiled == [6, 2, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +837,8 @@ def test_wound_strings_sweep_compiles_the_search_once(monkeypatch):
     for k in range(5):
         params = {"a": Fraction(1, 2), "C": Fraction(4 + k, 4), "m": -1}
         assert len(find_fixed_points(ws, params, box=(-4, 4), seeds=5)) == 4
-    # numerators, Jacobian, denominators
-    assert len(calls) == 3
+    # numerators with their Jacobian, denominators
+    assert len(calls) == 2
 
 
 _coefficient = st.one_of(st.sampled_from([1, -1]), st.integers(-10**6, 10**6).filter(bool))
@@ -722,10 +869,13 @@ def test_fixed_point_forms_match_embedded_coefficients(data):
     coordinate = st.floats(-100, 100, allow_nan=False)
     x = np.array([[data.draw(coordinate) for _ in range(n)] for _ in range(4)])
     forms = m.compiled.fixed_point_forms(nums, dens)
-    for (fn, coefficients), polys in zip(forms, (nums, jac, dens)):
+    assert len(forms) == 2
+    for (fn, coefficients), polys in zip(forms, (nums + jac, dens)):
         ref = compile_callable([p_to_expr(p, xs) for p in polys], xs)
         for args in (x.T, x[0].tolist()):
-            for got, want in zip(fn(*args, *coefficients), ref(*args)):
+            values, reference = fn(*args, *coefficients), ref(*args)
+            assert len(values) == len(reference)
+            for got, want in zip(values, reference):
                 got, want = np.broadcast_to(got, x.shape[:1]), np.broadcast_to(want, x.shape[:1])
                 assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
@@ -886,6 +1036,26 @@ def test_semialgebraic_budget_abort():
     ws = builtin("wound_strings")
     with pytest.raises(BudgetExceededError, match="budget"):
         assemble_semialgebraic(ws, budget=10)
+
+
+def _deep_model(depth=600):
+    """A Horner form built in Python, past the parser's depth limit: at 600
+    levels the recursive tree walks exceed Python's recursion limit."""
+    x = Symbol("x1")
+    deep = x
+    for _ in range(depth):
+        deep = mul(add(deep, 1), x)
+    return kcc.Model("deep", ("x1",), (add(deep, Symbol("y1")),))
+
+
+def test_deep_model_search_is_an_expr_error():
+    with pytest.raises(ExprError, match="nested too deeply"):
+        classify_all(_deep_model(), box=(-1, 1), seeds=3)
+
+
+def test_deep_model_conditions_are_an_expr_error():
+    with pytest.raises(ExprError, match="nested too deeply"):
+        assemble_semialgebraic(_deep_model())
 
 
 CHAIN_PARAMS = {"k": Fraction(7, 8), "q": Fraction(1, 8), "b": Fraction(1, 4), "c": Fraction(1, 16)}
