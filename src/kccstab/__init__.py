@@ -37,11 +37,8 @@ from .kcc import (
     KccInvariants,
     Model,
     ModelError,
-    first_invariant,
-    higher_invariants,
     invariants,
     kcc_deviation,
-    kcc_invariant,
     standard_form_residual,
     to_standard_form,
 )

@@ -284,24 +284,69 @@ def sub(a, b) -> Expr:
     return add(as_expr(a), neg(b))
 
 
-def det(M: Sequence[list]):
-    """Determinant of a square matrix given as a sequence of row lists.
+def char_poly(A: Sequence[Sequence], check=None) -> list:
+    """Coefficients [c_1..c_n] of det(l I - A) = l^n + c_1 l^(n-1) + ... + c_n.
 
-    Cofactor expansion along the first row, using only ``+``, ``*`` and
-    unary ``-``, so it works over Expr trees, CanonicalRational, Fraction and
-    float entries alike.
+    Berkowitz's recursion (Berkowitz, IPL 18, 1984) over the leading
+    principal submatrices: when [[B, C], [R, a]] is the leading block of
+    size k + 1, and b_0 = 1, b_1..b_k are the coefficients of B's
+    polynomial (b_(k+1) = 0), the block's coefficients are
+
+        c_t = b_t - b_(t-1)·a - sum_(i+j = t-2) b_i·(R·B^j·C),    t = 1..k+1.
+
+    It uses only ``+``, ``-`` and ``*``, so it works over Expr trees,
+    CanonicalRational, Fractions and floats alike, and over 1-d float
+    arrays, which run one matrix per array position.  `check(value,
+    context)`, when given, is called with context "characteristic
+    polynomial" on every entry of each vector B^j·C (j >= 1), on each
+    product R·B^j·C and on every coefficient formed, those of the leading
+    submatrices included; it aborts the computation by raising.
     """
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        term = M[0][j] * det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    if hasattr(A, "tolist"):
+        A = A.tolist()
+    A = [list(row) for row in A]
+    n = len(A)
+    if n == 0 or any(len(row) != n for row in A):
+        raise ValueError("char_poly needs a square matrix")
+    context = "characteristic polynomial"
+    coeffs = [_checked(check, -A[0][0], context)]
+    for k in range(1, n):
+        B = [row[:k] for row in A[:k]]
+        R, a = A[k][:k], A[k][k]
+        col, s = [row[k] for row in A[:k]], []  # B^j·C and s_j = R·B^j·C
+        for j in range(k):
+            if j:
+                col = [_checked(check, _dot(row, col), context) for row in B]
+            s.append(_checked(check, _dot(R, col), context))
+        b = [None] + coeffs  # b_0 = 1 is never multiplied
+        coeffs = []
+        for t in range(1, k + 2):
+            ab = a if t == 1 else b[t - 1] * a
+            v = b[t] - ab if t <= k else -ab
+            for i in range(t - 1):
+                v = v - (s[t - 2] if i == 0 else b[i] * s[t - 2 - i])
+            coeffs.append(_checked(check, v, context))
+    return coeffs
+
+
+def det(M: Sequence[Sequence]):
+    """Determinant of a square matrix given as a sequence of rows:
+    (-1)^n·c_n of `char_poly`, so division-free over the same entry types."""
+    c_n = char_poly(M)[-1]
+    return -c_n if len(M) % 2 else c_n
+
+
+def _checked(check, value, context: str):
+    if check is not None:
+        check(value, context)
+    return value
+
+
+def _dot(row, col):
+    acc = row[0] * col[0]
+    for a, b in zip(row[1:], col[1:]):
+        acc = acc + a * b
+    return acc
 
 
 def symbols(names: str | Iterable[str]) -> list[Symbol]:
@@ -1200,14 +1245,6 @@ class CanonicalRational:
             raise ZeroDenominatorError(detail="division by the zero function")
         return _canon_pair(
             self.vars, p_mul(self.num, other.den), p_mul(self.den, other.num)
-        )
-
-    def scale(self, c: Number) -> "CanonicalRational":
-        f = Fraction(c)
-        return _canon_pair(
-            self.vars,
-            p_scale(self.num, f.numerator),
-            p_scale(self.den, f.denominator),
         )
 
     # -- predicates ----------------------------------------------------------

@@ -38,7 +38,6 @@ from .expr import (
     differentiate,
     div,
     mul,
-    neg,
     p_diff,
     p_primitive,
     p_sorted,
@@ -144,7 +143,10 @@ class Model:
     def g_bound(self, params: Mapping[str, Fraction | float] | None = None) -> list[Expr]:
         """G expressions with parameter values substituted in."""
         bind = self.binding(params)
-        return [substitute(g, bind) for g in self.G]
+        try:
+            return [substitute(g, bind) for g in self.G]
+        except RecursionError:
+            raise ExprError("expression nested too deeply to substitute") from None
 
 
 # --------------------------------------------------------------------------
@@ -157,13 +159,16 @@ class KccInvariants:
     N        nonlinear connection            N^i_j = dG^i/dy_j
     berwald  Berwald connection              G^i_{jl} = dN^i_j/dy_l
     epsilon  first invariant                 eps^i = 2 G^i - N^i_j y_j
-    P        deviation curvature tensor (second invariant)
+    A21      position deviation block        A21^i_j = -2 dG^i/dx_j
+    P        deviation curvature tensor (second invariant), A21 its first term
     torsion  third invariant                 P^i_{jk} antisymmetric in (j,k)
     riemann  fourth invariant                P^i_{jkl} = dP^i_{jk}/dy_l
     douglas  fifth invariant                 D^i_{jkl} = dG^i_{jk}/dy_l
     """
 
-    __slots__ = ("model", "N", "berwald", "epsilon", "P", "_torsion", "_riemann", "_douglas")
+    __slots__ = (
+        "model", "N", "berwald", "epsilon", "A21", "P", "_torsion", "_riemann", "_douglas"
+    )
 
     def __init__(self, model: Model):
         self.model = model
@@ -175,10 +180,11 @@ class KccInvariants:
             sub(mul(2, G[i]), add(*[mul(self.N[i][j], Symbol(ys[j])) for j in range(n)]))
             for i in range(n)
         ]
+        self.A21 = [[mul(-2, differentiate(G[i], xs[j])) for j in range(n)] for i in range(n)]
         self.P = [
             [
                 add(
-                    mul(-2, differentiate(G[i], xs[j])),
+                    self.A21[i][j],
                     mul(-2, add(*[mul(G[l], self.berwald[i][j][l]) for l in range(n)])),
                     add(
                         *[
@@ -228,24 +234,14 @@ def _by_velocities(t, ys: Sequence[str]) -> list:
 
 
 def invariants(model: Model) -> KccInvariants:
-    """Derive the invariants afresh; `model.compiled.invariants` keeps one copy."""
-    return KccInvariants(model)
+    """Derive the invariants afresh; `model.compiled.invariants` keeps one copy.
 
-
-def kcc_invariant(model: Model) -> list[list[Expr]]:
-    """Deviation curvature tensor P^i_j (the Jacobi-stability invariant)."""
-    return KccInvariants(model).P
-
-
-def first_invariant(model: Model) -> list[Expr]:
-    """First invariant eps^i = 2 G^i - N^i_j y_j."""
-    return KccInvariants(model).epsilon
-
-
-def higher_invariants(model: Model):
-    """Torsion, Riemann-curvature and Douglas tensors (third/fourth/fifth)."""
-    inv = KccInvariants(model)
-    return inv.torsion, inv.riemann, inv.douglas
+    A model nested too deeply to differentiate raises ExprError.
+    """
+    try:
+        return KccInvariants(model)
+    except RecursionError:
+        raise ExprError("expression nested too deeply to differentiate") from None
 
 
 # --------------------------------------------------------------------------
@@ -358,20 +354,15 @@ class CompiledModel:
     @property
     def invariants(self) -> KccInvariants:
         if self._invariants is None:
-            try:
-                self._invariants = invariants(self.model)
-            except RecursionError:
-                raise ExprError("expression nested too deeply to differentiate") from None
+            self._invariants = invariants(self.model)
         return self._invariants
 
     @property
     def deviation_blocks(self) -> tuple[list[list[Expr]], list[list[Expr]]]:
         if self._blocks is None:
-            m, N = self.model, self.invariants.N
-            rng = range(m.n)
-            A21 = [[mul(-2, differentiate(m.G[i], m.xs[j])) for j in rng] for i in rng]
-            A22 = [[mul(-2, N[i][j]) for j in rng] for i in rng]
-            self._blocks = (A21, A22)
+            inv = self.invariants
+            A22 = [[mul(-2, e) for e in row] for row in inv.N]
+            self._blocks = (inv.A21, A22)
         return self._blocks
 
     @property
@@ -610,10 +601,12 @@ def to_standard_form(
     """Convert an acceleration-linear system M(x, y)·x'' + f(x, y) = 0.
 
     Returns the equivalent standard-form model with G = (1/2)·M^(-1)·f,
-    computed symbolically via the adjugate (so limited to n <= 4; the
-    determinant shows up as a denominator of every G_i).  Raises ModelError
-    when the mass matrix is symbolically singular.  Position names default
-    to x1..xn; undeclared leftover symbols become parameters.
+    computed symbolically by Cramer's rule, G_i = det(M_i)/(2·det M) with
+    M_i the mass matrix with column i replaced by f, so det M shows up as a
+    denominator of every G_i.  The symbolic determinants grow quickly with
+    n, so systems are limited to n <= 4.  Raises ModelError when the mass
+    matrix is symbolically singular.  Position names default to x1..xn;
+    undeclared leftover symbols become parameters.
     """
     n = len(M)
     if n == 0 or any(len(row) != n for row in M) or len(f) != n:
@@ -625,21 +618,10 @@ def to_standard_form(
     d = det(M)
     if canonicalize(d).is_zero:
         raise ModelError("singular mass matrix (determinant is identically zero)")
-    # adjugate: adj[i][j] = (-1)^(i+j) * minor_det(j, i)
-    G: list[Expr] = []
+    G = []
     for i in range(n):
-        acc = as_expr(0)
-        for j in range(n):
-            minor = [
-                [M[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = det(minor) if n > 1 else as_expr(1)
-            if (i + j) % 2:
-                cof = neg(cof)
-            acc = add(acc, mul(cof, f[j]))
-        G.append(div(mul(Fraction(1, 2), acc), d))
+        M_i = [row[:i] + [f_r] + row[i + 1:] for row, f_r in zip(M, f)]
+        G.append(div(mul(Fraction(1, 2), det(M_i)), d))
     if xs is None:
         xs = [f"x{i}" for i in range(1, n + 1)]
     if params is None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
 
 from .expr import Expr, ParseError, parse
 from .kcc import Model, ModelError, to_standard_form

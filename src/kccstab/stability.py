@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -30,8 +29,9 @@ from .expr import (
     ExprError,
     ParameterBinder,
     Poly,
-    ZeroDenominatorError,
+    _checked,
     canonicalize,
+    char_poly,
     collect_symbols,
     det,
     p_const,
@@ -61,7 +61,7 @@ INDETERMINATE = "Indeterminate"
 
 
 # --------------------------------------------------------------------------
-# characteristic polynomial and Hurwitz determinants (generic ring elements)
+# Hurwitz determinants (generic ring elements)
 
 
 def _one_like(v):
@@ -78,64 +78,6 @@ def _zero_like(v):
     if isinstance(v, Fraction):
         return Fraction(0)
     return 0.0
-
-
-def _scaled(v, f: Fraction):
-    if isinstance(v, CanonicalRational):
-        return v.scale(f)
-    # a Fraction factor would turn a float array into an object array
-    return v * float(f) if isinstance(v, np.ndarray) else v * f
-
-
-def char_poly(A: Sequence[Sequence], check=None) -> list:
-    """Coefficients [a_1..a_n] of det(lambda I - A) = l^n + a_1 l^(n-1) + ... + a_n.
-
-    Faddeev–LeVerrier recursion; works over floats, Fractions and
-    CanonicalRational entries alike, and over 1-d float arrays, which run
-    one matrix per array position.  `check(value, context)`, when given, is
-    called with context "characteristic polynomial" on each coefficient and
-    on every entry of the products A·M_k for k >= 2 (the first product is A
-    itself); it aborts the computation by raising.
-    """
-    if hasattr(A, "tolist"):
-        A = A.tolist()
-    A = [list(row) for row in A]
-    n = len(A)
-    if n == 0 or any(len(row) != n for row in A):
-        raise ValueError("char_poly needs a square matrix")
-    context = "characteristic polynomial"
-    AM = A  # A·M_1, as M_1 is the identity
-    coeffs = []
-    for k in range(1, n + 1):
-        tr = AM[0][0]
-        for i in range(1, n):
-            tr = tr + AM[i][i]
-        ck = _checked(check, _scaled(tr, Fraction(-1, k)), context)
-        coeffs.append(ck)
-        if k < n:
-            M = [
-                [AM[i][j] + ck if i == j else AM[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-            AM = [
-                [_checked(check, _dot(A[i], [M[l][j] for l in range(n)]), context)
-                 for j in range(n)]
-                for i in range(n)
-            ]
-    return coeffs
-
-
-def _checked(check, value, context: str):
-    if check is not None:
-        check(value, context)
-    return value
-
-
-def _dot(row, col):
-    acc = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        acc = acc + a * b
-    return acc
 
 
 def hurwitz_matrix(coeffs: Sequence) -> list[list]:
@@ -159,9 +101,10 @@ def hurwitz_determinants(coeffs: Sequence, check=None) -> list:
 
     Delta_1 = a_1, and Delta_n = a_n·Delta_{n-1} as a_n is the only nonzero
     entry in the last column (Gantmacher, Theory of Matrices II, ch. XV), so
-    only Delta_2..Delta_{n-1} are expanded.  `check(value, context)`, when
-    given, is called on each minor as soon as it is formed, with context
-    "Hurwitz determinant k"; it aborts the computation by raising.
+    only Delta_2..Delta_{n-1} are taken by `det`, the division-free
+    Berkowitz recursion of `char_poly`.  `check(value, context)`, when given,
+    is called on each minor as soon as it is formed, with context "Hurwitz
+    determinant k"; it aborts the computation by raising.
     """
     H = hurwitz_matrix(coeffs)
     dets = [_checked(check, coeffs[0], "Hurwitz determinant 1")]

@@ -67,13 +67,18 @@ def ws_inv(ws):
 
 def test_deep_model_invariants_are_an_expr_error():
     # a Horner form built in Python skips the parser's depth limit; at 600
-    # levels differentiating it is an ExprError, not a RecursionError
+    # levels differentiating or binding it is an ExprError, not a RecursionError
     x = Symbol("x1")
     deep = x
     for _ in range(600):
         deep = mul(add(deep, 1), x)
-    with pytest.raises(ExprError, match="nested too deeply"):
-        Model("deep", ("x1",), (add(deep, Symbol("y1")),)).compiled.invariants
+    model = Model("deep", ("x1",), (add(deep, Symbol("y1")),))
+    with pytest.raises(ExprError, match="nested too deeply to differentiate"):
+        model.compiled.invariants
+    with pytest.raises(ExprError, match="nested too deeply to differentiate"):
+        invariants(model)
+    with pytest.raises(ExprError, match="nested too deeply to substitute"):
+        model.g_bound()
 
 
 def test_wound_strings_curvature_matches_reference(ws_inv):

@@ -149,12 +149,13 @@ def test_zero_division_aborts_at_the_stage_time():
 
 def test_python_built_deep_model_is_an_expr_error():
     # a Horner form built in Python skips the parser's depth limit; at 600
-    # levels it is an ExprError, not a RecursionError
+    # levels binding the parameters (`Model.g_bound`) is an ExprError, not a
+    # RecursionError
     x = parse("x1")
     deep = x
     for _ in range(600):
         deep = mul(deep + 1, x)
-    with pytest.raises(ExprError, match="nested too deeply to compile"):
+    with pytest.raises(ExprError, match="nested too deeply to substitute"):
         integrate(Model("h", ("x1",), (deep,)), None, ([0.1], [0.0]), 0.01, 0.001)
 
 

@@ -1,0 +1,58 @@
+"""Checks on the library's source text."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "kccstab"
+
+
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """Names inside string annotations such as "Expr | None"."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    names = set()
+    for root in filter(None, roots):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports but never uses (`__future__` aside)."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_names(tree)
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from typing import Mapping, Sequence\n"
+        "def f(m: 'Mapping[str, int]') -> None:\n"
+        "    return os.path.join('a')\n"
+    )
+    assert unused_imports(source) == ["Sequence", "math"]
+
+
+def test_library_modules_use_every_name_they_import():
+    found = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

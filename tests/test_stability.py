@@ -185,14 +185,14 @@ _small = st.integers(-3, 3)
 
 
 @st.composite
-def _symbolic_matrix(draw, rational_up_to=4):
-    """1x1..4x4 matrices of small expressions in p, q, r.
+def _symbolic_matrix(draw, rational_up_to=4, max_size=4):
+    """1x1..max_size x max_size matrices of small expressions in p, q, r.
 
     Quotient entries appear only up to size `rational_up_to`: without a
     polynomial gcd, canonical characteristic polynomials of larger rational
     matrices grow to thousands of monomials.
     """
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_size))
     forms = _POLY_FORMS + ((_RATIONAL_FORM,) if n <= rational_up_to else ())
     names = st.sampled_from("pqr")
 
@@ -210,7 +210,7 @@ _point = st.fixed_dictionaries(
 
 
 @settings(max_examples=60, deadline=None)
-@given(_symbolic_matrix(), _point)
+@given(_symbolic_matrix(max_size=6), _point)
 def test_det_commutes_with_exact_evaluation(M, point):
     at_point = [[evaluate(e, point) for e in row] for row in M]
     assert evaluate(det(M), point) == _frac_det(at_point)
@@ -232,6 +232,30 @@ def test_char_poly_commutes_with_exact_evaluation(M, point):
             for i in range(n)
         ]
         assert lhs == _frac_det(lamI_minus_A)
+
+
+def test_char_poly_matches_sympy_on_polynomial_matrices():
+    """Over CanonicalRational, random 5x5 matrices of integer polynomials in
+    two variables have sympy's characteristic polynomial, with denominator 1."""
+    sympy = pytest.importorskip("sympy")
+    vars = ("p", "q")
+    p, q = sympy.symbols(vars)
+    lam = sympy.Symbol("lam")
+    rng = random.Random(104729)
+
+    def entry():
+        return sum(rng.randint(-5, 5) * p ** rng.randint(0, 2) * q ** rng.randint(0, 2) for _ in range(3))
+
+    def as_sympy(poly):
+        return sum(c * p ** m[0] * q ** m[1] for m, c in poly.items())
+
+    for _ in range(4):
+        M = sympy.Matrix(5, 5, lambda i, j: entry())
+        A = [[canonicalize(parse(str(e).replace("**", "^")), vars) for e in row] for row in M.tolist()]
+        coeffs = char_poly(A)
+        assert all(c.den == {(0, 0): 1} for c in coeffs)
+        want = M.charpoly(lam).all_coeffs()[1:]
+        assert [sympy.expand(as_sympy(c.num) - w) for c, w in zip(coeffs, want)] == [0] * 5
 
 
 def test_det_floats_match_numpy():
