@@ -825,12 +825,6 @@ def p_neg(p: Poly) -> Poly:
     return {m: -c for m, c in p.items()}
 
 
-def p_scale(p: Poly, k: int) -> Poly:
-    if k == 0:
-        return {}
-    return {m: c * k for m, c in p.items()}
-
-
 def p_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return {}

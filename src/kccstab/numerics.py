@@ -26,6 +26,7 @@ from .stability import Classifier
 DEFAULT_PROBE_WINDOW = 0.5
 DEFAULT_PROBE_SAMPLES = 100
 DENOMINATOR_FLOOR = 1e-10
+_POWER_BLOCK = 64  # a power of 2: matrix_exp_solution forms its powers by doubling
 
 BUNCHING = "Bunching"
 DISPERSING = "Dispersing"
@@ -80,19 +81,17 @@ class FocusingProfile:
 
 
 _RK4_SOURCE = """\
-def _rk4(z, nsteps, dt):
+def _rk4(z, out, k0, nsteps, dt):
     {z}, = z
-    out = array('d', z) * (nsteps + 1)
-    h2, h6, j = 0.5 * dt, dt / 6.0, 0
+    h2, h6, j = 0.5 * dt, dt / 6.0, (k0 - 1) * {m}
     try:
-        for k in range(1, nsteps + 1):
+        for k in range(k0, nsteps + 1):
             t0 = (k - 1) * dt
 {body}
     except ZeroDivisionError:
         raise IntegrationError(t, 'denominator reached zero') from None
     except OverflowError:
         raise IntegrationError(t, 'state became non-finite') from None
-    return out
 """
 
 
@@ -107,13 +106,17 @@ def _rk4_trace(accel, guards, z0, t_end, dt, names, finite=True) -> Trace:
     z + h·k3, z + (h/6)·(k1 + 2k2 + 2k3 + k4), so the states are those of
     that form bit for bit.  Each stage checks the least guard magnitude
     before the accelerations; with `finite` a non-finite state aborts.
+    Step 1 runs alone into a buffer holding z0 in every row: if it maps z0 to
+    itself byte for byte, so would every later step (the models are
+    autonomous), and the trace is complete; otherwise the loop resumes.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     n = len(accel)
+    m = 2 * n
 
     def vec(fmt: str) -> str:
-        return ", ".join(fmt.format(i) for i in range(2 * n))
+        return ", ".join(fmt.format(i) for i in range(m))
 
     # with a last 1.0, never below the floor, min() also takes a single guard
     low = "".join(f"abs({g}), " for g in guards)
@@ -129,15 +132,19 @@ def _rk4_trace(accel, guards, z0, t_end, dt, names, finite=True) -> Trace:
         body += [f"t = {time}", f"{vec('s{0}')} = {vec(state)}", check, f"{vec(k + '{0}')} = {rhs}"]
     body.append(f"{vec('z{0}')} = {vec('z{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})')}")
     if finite:
-        ok = " and ".join(f"isfinite(z{i})" for i in range(2 * n))
+        ok = " and ".join(f"isfinite(z{i})" for i in range(m))
         body.append(f"if not ({ok}): raise IntegrationError(t, 'state became non-finite')")
-    body += [f"j += {2 * n}", *(f"out[j + {i}] = z{i}" for i in range(2 * n))]
-    src = _RK4_SOURCE.format(z=vec("z{0}"), body="\n".join(" " * 12 + b for b in body if b))
-    ns = dict(array=array, isfinite=math.isfinite, IntegrationError=IntegrationError,
+    body += [f"j += {m}", *(f"out[j + {i}] = z{i}" for i in range(m))]
+    src = _RK4_SOURCE.format(z=vec("z{0}"), m=m, body="\n".join(" " * 12 + b for b in body if b))
+    ns = dict(isfinite=math.isfinite, IntegrationError=IntegrationError,
               _FLOOR=DENOMINATOR_FLOOR, _BELOW=f"denominator below {DENOMINATOR_FLOOR:g}")
     run = exec_generated(src, "_rk4", ns)
     nsteps = int(round(t_end / dt))
-    states = np.frombuffer(run(z0, nsteps, dt)).reshape(nsteps + 1, 2 * n)
+    out = array("d", z0) * (nsteps + 1)
+    run(z0, out, 1, min(nsteps, 1), dt)
+    if nsteps > 1 and out[m:2 * m].tobytes() != out[:m].tobytes():
+        run(out[m:2 * m], out, 2, nsteps, dt)
+    states = np.frombuffer(out).reshape(nsteps + 1, m)
     return Trace(np.arange(nsteps + 1) * dt, states, names, dt, "rk4")
 
 
@@ -154,6 +161,7 @@ def integrate(
     below 1e-10 in magnitude at an evaluation point, when an evaluation
     divides by zero or overflows, or when the state becomes non-finite;
     its `time` is that of the stage (the end of the step for the state).
+    A start that one step maps to itself byte for byte is repeated.
     """
     n = model.n
     x0, y0 = initial
@@ -244,7 +252,8 @@ def matrix_exp_solution(
     """Exact deviation solution (xi, xi')(t) = exp(At)·(0, W) at given times.
 
     A is the first-order block matrix of the frozen deviation system.  For
-    uniformly spaced times one exponential is reused multiplicatively.
+    uniformly spaced times from 0, E .. E^64 with E = exp(A·dt) are formed
+    once, and each block of 64 samples is those powers times the state before.
     """
     A21 = np.asarray(A21, dtype=float)
     A22 = np.asarray(A22, dtype=float)
@@ -259,23 +268,18 @@ def matrix_exp_solution(
     diffs = np.diff(times)
     uniform = len(times) >= 2 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=1e-15)
     if uniform and times[0] == 0.0:
-        E = matrix_exp(A * diffs[0])
-        v = v0
-        states[0] = v
-        for k in range(1, len(times)):
-            v = E @ v
-            states[k] = v
+        powers = matrix_exp(A * diffs[0])[None]
+        while len(powers) < min(_POWER_BLOCK, len(times) - 1):  # E^(j+1) .. E^(2j)
+            powers = np.concatenate([powers, powers @ powers[-1]])
+        states[0] = v0
+        for k in range(1, len(times), _POWER_BLOCK):
+            block = powers[:len(times) - k]
+            states[k:k + len(block)] = block @ states[k - 1]
     else:
         for k, t in enumerate(times):
             states[k] = matrix_exp(A * t) @ v0
     dt = float(diffs[0]) if uniform else None
-    return Trace(
-        times=times,
-        states=states,
-        names=_deviation_names(n),
-        dt=dt,
-        method="expm",
-    )
+    return Trace(times, states, _deviation_names(n), dt, "expm")
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,28 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kccstab
 from kccstab.cli import main
-from kccstab.expr import evaluate, parse
+from kccstab.expr import ExprError, evaluate, parse
+from kccstab.kcc import ModelError
+from kccstab.models import loads
 
 WS = ["--model", "wound_strings", "--params", "a=1/2,C=1,m=-1"]
 AIRFOIL_1 = ["--model", "airfoil", "--params", "Minf=2017/256,V=83/4"]
@@ -158,6 +165,22 @@ def test_points_where_g_is_undefined_are_not_listed(capsys, tmp_path):
     mf.write_text("model degen\nparams p\nvars x1\nG1 = (x1^2 + p)/(x1*(x1 + 1)) + y1\n")
     for command in ("fixed-points", "classify"):
         rc, out, err = run(capsys, [command, "--model", str(mf), "--params", "p=0"])
+        assert (rc, err) == (0, "")
+        assert "0 fixed point(s) found" in out
+
+
+def test_divisor_vanishing_at_rest_is_a_model_error(capsys, tmp_path):
+    # at q = 2 the divisor x1*(y1 + q - 2) is 0 for every x once y = 0: a
+    # model error; at q = 3 it is x1 at y = 0, whose root is not listed
+    mf = tmp_path / "rest_divisor.kcc"
+    mf.write_text("model rest_divisor\nparams p q\nvars x1\nG1 = x1 - y1*p/(x1*(y1 + q - 2))\n")
+    for command in ("fixed-points", "classify"):
+        argv = [command, "--model", str(mf), "--box", "-1:1", "--params"]
+        rc, out, err = run(capsys, argv + ["p=1,q=2"])
+        assert (rc, out) == (2, "")
+        assert err == ("kccstab: model error: denominator is zero in subexpression: "
+                       "x1*(-2 + y1 + q) (after substitution)\n")
+        rc, out, err = run(capsys, argv + ["p=1,q=3"])
         assert (rc, err) == (0, "")
         assert "0 fixed point(s) found" in out
 
@@ -468,6 +491,49 @@ def test_out_flag_redirects_text(capsys, tmp_path):
 def test_exit_codes(capsys, argv, code):
     rc, _, _ = run(capsys, argv)
     assert rc == code
+
+
+# the three built-in models as model files, with their example parameters
+BUILTIN_FILES = [
+    (kccstab.dumps(kccstab.builtin(name)), params)
+    for name, params in [("wound_strings", WS[3]), ("airfoil", AIRFOIL_1[3]), ("tractor_seat", "")]
+]
+FUZZ_COMMANDS = [["invariants"], ["deviation"], ["fixed-points", "--seeds", "3"], ["classify"]]
+
+
+@st.composite
+def edited_model_files(draw):
+    """A built-in model file with one to three random character edits, half
+    of them inside the G lines, and its parameters."""
+    text, params = draw(st.sampled_from(BUILTIN_FILES))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)) | st.integers(text.find("G1"), len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = "" if kind == "delete" else draw(st.sampled_from("0123456789xy^*/+-()=.#\n aCpG"))
+        text = text[:i] + char + text[i + (kind != "insert"):]
+    return text, params
+
+
+@given(case=edited_model_files())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_edited_model_files_keep_the_exit_code_contract(case):
+    text, params = case
+    try:
+        loads(text)
+    except (ModelError, ExprError):
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        model_file, out = Path(tmp) / "edited.kcc", Path(tmp) / "out.txt"
+        model_file.write_text(text)
+        for command in FUZZ_COMMANDS:
+            argv = [*command, "--model", str(model_file), "--params", params, "--out", str(out)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert rc in (0, 1, 2, 3), (argv, rc)
+            assert "Traceback" not in err.getvalue()
+            assert rc != 1 or not out.exists()
+            out.unlink(missing_ok=True)
 
 
 def test_bad_model_file_reports_position(capsys, tmp_path):

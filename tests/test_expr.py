@@ -34,7 +34,6 @@ from kccstab.expr import (
     p_exquo,
     p_gcd,
     p_mul,
-    p_scale,
     parse,
     poly_of,
     pow_,
@@ -336,6 +335,10 @@ def test_heuristic_gcd_keeps_the_content_of_each_image():
     common = p_mul({(2, 0): 1, (0, 0): 1}, {(0, 2): 1, (0, 0): 1})
     f, g = {(1, 0): 1, (0, 1): 2, (0, 0): 3}, {(1, 1): 1, (0, 0): -5}
     a, b = p_mul(common, f), p_mul(common, g)
+
+    def p_scale(p, k):
+        return {m: c * k for m, c in p.items()}
+
     h, ca, cb = expr._heu_gcd(p_scale(a, 6), p_scale(b, 4), [0, 1])
     assert h == p_scale(common, 2) and (ca, cb) == (p_scale(f, 3), p_scale(g, 2))
     assert p_gcd(a, b) == common == _subresultant_gcd(a, b)

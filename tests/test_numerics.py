@@ -69,7 +69,7 @@ def test_oscillator_closed_form():
 def test_fixed_point_trajectory_constant():
     ws = builtin("wound_strings")
     tr = integrate(ws, WS_PARAMS, ([2.0, 1.0], [0.0, 0.0]), 5.0, 1e-2)
-    assert np.max(np.abs(tr.states - np.array([2.0, 1.0, 0.0, 0.0]))) < 1e-12
+    assert np.array_equal(tr.states, np.tile([2.0, 1.0, 0.0, 0.0], (len(tr), 1)))
 
 
 def test_perturbed_trajectory_relaxes_back():
@@ -297,6 +297,95 @@ def test_kernel_aborts_at_the_reference_times():
     assert_same_abort(blowup, None, ([1.0], [0.0]), 2.0, 1e-3)
 
 
+# ---------------------------------------------------------------------------
+# starts at rest: one step that maps the state to itself ends the run
+
+
+# the built-in fixed points of criteria 6c/6d: (model, params, box, seeds)
+FIXED_POINT_SETS = [
+    ("wound_strings", WS_PARAMS, (-4, 4), 9),
+    ("airfoil", AIRFOIL_PARAMS, (-4, 4), 9),
+    ("airfoil", {"Minf": Fraction(71, 16384), "V": Fraction(3, 16)}, (-4, 4), 9),
+    ("tractor_seat", TRACTOR_PARAMS, (-10, 10), 5),
+]
+
+
+@pytest.fixture(scope="module")
+def builtin_fixed_points():
+    """(model, params, point, verdict) of every built-in fixed point."""
+    out = []
+    for name, params, box, seeds in FIXED_POINT_SETS:
+        model = builtin(name)
+        for fp, rep in classify_all(model, params, box=box, seeds=seeds):
+            out.append((model, params, fp.point, rep.verdict))
+    return out
+
+
+def constant_rows(states) -> bool:
+    return all(row.tobytes() == states[0].tobytes() for row in states)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: np.array_equal takes -0.0 for 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_rest_starts_match_the_full_loop(builtin_fixed_points):
+    assert len(builtin_fixed_points) == 9
+    for model, params, point, verdict in builtin_fixed_points:
+        rest = (point, [0.0] * model.n)
+        times, states = numpy_integrate(model, params, rest, 1.0, 1e-3)
+        tr = integrate(model, params, rest, 1.0, 1e-3)
+        assert np.array_equal(tr.times, times)
+        assert same_bits(tr.states, states), (model.name, point)
+        # at every stable point one step maps the state to itself exactly
+        assert constant_rows(tr.states) or verdict != STABLE, (model.name, point)
+
+
+def test_negative_zero_start_runs_the_full_loop():
+    # the airfoil origin is a rest state, but -0.0 + 0.0 is 0.0: the bytes
+    # change in step 1, so the shortcut must not fire
+    model = builtin("airfoil")
+    start = ([-0.0, 0.0], [0.0, 0.0])
+    times, states = numpy_integrate(model, AIRFOIL_PARAMS, start, 1.0, 1e-3)
+    tr = integrate(model, AIRFOIL_PARAMS, start, 1.0, 1e-3)
+    assert tr.states[1].tobytes() != tr.states[0].tobytes()
+    assert same_bits(tr.states, states)
+
+
+@pytest.mark.parametrize("nsteps", [0, 1, 2])
+def test_short_runs_match_the_full_loop(nsteps):
+    ws = builtin("wound_strings")
+    dt = 1e-2
+    t_end = max(nsteps, 0.4) * dt  # rounds to nsteps steps
+    for start in (([2.0, 1.0], [0.0, 0.0]), ([2.03, 0.98], [0.004, -0.007])):
+        times, states = numpy_integrate(ws, WS_PARAMS, start, t_end, dt)
+        tr = integrate(ws, WS_PARAMS, start, t_end, dt)
+        assert tr.states.shape == (nsteps + 1, 4)
+        assert np.array_equal(tr.times, times)
+        assert same_bits(tr.states, states)
+
+
+def test_perturbation_oracle_at_stable_points_matches_the_full_loop(builtin_fixed_points):
+    stable = [case for case in builtin_fixed_points if case[3] == STABLE]
+    assert len(stable) == 7
+    eta = 1e-6
+    for model, params, point, _ in stable:
+        n = model.n
+        W = 1e-2 * np.ones(n) / np.sqrt(n)
+        _, base = numpy_integrate(model, params, (point, np.zeros(n)), 1.0, 1e-3)
+        _, pert = numpy_integrate(model, params, (point, eta * W), 1.0, 1e-3)
+        po = perturbation_oracle(model, params, point, W, eta=eta, t_end=1.0, dt=1e-3)
+        assert same_bits(po.states, (pert - base) / eta), (model.name, point)
+
+
+def test_rest_start_below_the_guard_floor_aborts_at_the_reference_time():
+    # G vanishes at x2 = 0, so the start is a rest state, but the
+    # denominator x1 = 1e-11 is below 1e-10
+    quotient = Model("quotient", ("x1", "x2"), (parse("x2/x1"), parse("0")))
+    assert_same_abort(quotient, None, ([1e-11, 0.0], [0.0, 0.0]), 1.0, 1e-2)
+
+
 def test_deviation_rejects_non_finite_matrix():
     # A21 = -4*10^300*x1 overflows to -inf at x1 = 10^10
     huge = Model("huge", ("x1",), (parse("10^300*x1^2"),))
@@ -374,6 +463,42 @@ def test_matrix_exp_matches_scipy(n):
         A *= norm / np.linalg.norm(A, 1)
         ref = linalg.expm(A)
         assert np.linalg.norm(matrix_exp(A) - ref, 1) <= 1e-11 * np.linalg.norm(ref, 1), norm
+
+
+def sequential_exp_solution(A21, A22, W, times):
+    """The per-sample loop that matrix_exp_solution's stacked powers replaced:
+    v <- E v with E = exp(A dt) on uniform grids from 0, exp(A t) v0 otherwise."""
+    n = len(W)
+    A = np.block([[np.zeros((n, n)), np.eye(n)], [A21, A22]])
+    v = np.concatenate([np.zeros(n), W])
+    diffs = np.diff(times)
+    if len(times) >= 2 and times[0] == 0.0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=1e-15):
+        E = matrix_exp(A * diffs[0])
+        rows = [v]
+        for _ in diffs:
+            rows.append(E @ rows[-1])
+        return np.array(rows)
+    return np.array([matrix_exp(A * t) @ v for t in times])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["stable", "unstable"])
+def test_stacked_powers_match_sequential_products(n, kind):
+    rng = np.random.default_rng(10 * n + (kind == "stable"))
+    for _ in range(3):
+        B = rng.standard_normal((n, n))
+        if kind == "stable":  # A21 negative definite, A22 damping
+            A21, A22 = -(B @ B.T + 0.5 * np.eye(n)), -0.2 * np.eye(n)
+        else:
+            A21, A22 = B @ B.T + 0.5 * np.eye(n), rng.standard_normal((n, n))
+        W = rng.standard_normal(n)
+        grids = [np.arange(size) * 1e-3 for size in (1, 2, 64, 65, 5001)]
+        grids.append(np.array([0.0, 0.1, 0.4, 1.0, 2.5]))
+        for times in grids:
+            got = matrix_exp_solution(A21, A22, W, times)
+            ref = sequential_exp_solution(A21, A22, W, times)
+            assert got.states.shape == ref.shape
+            assert row_relative_error(got.states, ref) <= 1e-12, (kind, len(times))
 
 
 def test_non_uniform_times_supported():
