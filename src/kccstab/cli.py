@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -34,6 +35,7 @@ from .numerics import (
     integrate,
     integrate_deviation,
     jacobi_focusing,
+    step_count,
     write_profile_csv,
     write_trace_csv,
 )
@@ -113,6 +115,14 @@ def _parse_params(text: str | None) -> dict[str, Fraction]:
     return out
 
 
+def _finite(text: str) -> float:
+    """The float a flag value spells; ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _parse_box(text: str | None):
     if not text:
         return None
@@ -122,17 +132,17 @@ def _parse_box(text: str | None):
         if not sep:
             raise UsageError(f"bad --box segment {seg!r}: expected lo:hi")
         try:
-            axes.append((float(lo), float(hi)))
+            axes.append((_finite(lo), _finite(hi)))
         except ValueError:
-            raise UsageError(f"bad --box segment {seg!r}: expected numbers")
+            raise UsageError(f"bad --box segment {seg!r}: expected finite numbers")
     return axes[0] if len(axes) == 1 else axes
 
 
 def _parse_vector(text: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")]
+        return [_finite(v) for v in text.split(",")]
     except ValueError:
-        raise UsageError(f"bad {flag} value {text!r}: expected comma-separated numbers")
+        raise UsageError(f"bad {flag} value {text!r}: expected comma-separated finite numbers")
 
 
 def _check_seeds(seeds: int) -> int:
@@ -303,6 +313,8 @@ def cmd_classify(args) -> int:
     params = _parse_params(args.params)
     seeds = _check_seeds(args.seeds)
     tol = args.tol
+    if not 0 <= tol < math.inf:  # also rejects nan
+        raise UsageError(f"--tol must be finite and not negative, got {tol}")
     lines = []
     rows = [["#"] + list(model.xs) + ["verdict"]]
     entries = []
@@ -352,6 +364,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_conditions(args) -> int:
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
     model = _load_model(args.model)
     params = _parse_params(args.params)
     sys_ = assemble_semialgebraic(model, params, budget=args.budget)
@@ -370,12 +384,14 @@ def cmd_simulate(args) -> int:
     y0 = _parse_vector(args.y0, "--y0") if args.y0 else [0.0] * n
     if len(x0) != n or len(y0) != n:
         raise UsageError(f"--x0/--y0 must have {n} components")
-    if not (args.dt > 0 and args.t_end > 0):  # also rejects nan
-        raise UsageError("--dt and --t-end must be positive")
+    try:
+        step_count(args.t_end, args.dt)
+    except ValueError as e:
+        raise UsageError(f"bad --t-end or --dt: {e}") from None
     if args.dt > args.t_end:
         raise UsageError("--dt must not exceed --t-end")
-    if args.t_probe <= 0:
-        raise UsageError("--t-probe must be positive")
+    if not 0 < args.t_probe < math.inf:  # also rejects nan
+        raise UsageError("--t-probe must be finite and positive")
     W = _parse_vector(args.w, "--w") if args.w else None
     if W is not None and len(W) != n:
         raise UsageError(f"--w must have {n} components")
@@ -406,8 +422,8 @@ def cmd_focusing(args) -> int:
     params = _parse_params(args.params)
     point = _parse_vector(args.point, "--point")
     W = _parse_vector(args.w, "--w") if args.w else None
-    if args.t_probe <= 0 or args.samples < 3:
-        raise UsageError("--t-probe must be positive and --samples at least 3")
+    if not 0 < args.t_probe < math.inf or args.samples < 3:  # also rejects nan
+        raise UsageError("--t-probe must be finite and positive and --samples at least 3")
     prof = jacobi_focusing(
         model, params, point, W, t_probe=args.t_probe, samples=args.samples
     )

@@ -331,10 +331,10 @@ class CompiledModel:
     deviation         A21 then A22, 2*n*n entries
     fixed_points      the FixedPointSystem: G at y = 0 and its divisors as
                       canonical pairs over `xs + params`, and `bind`, which
-                      makes the reduced pairs at one parameter point
+                      binds exact values of any of the parameters into them
 
     Parameter values never enter this data.  The fixed-point search
-    evaluates the pairs of `bind` through `fixed_point_forms`: numerators
+    evaluates what `bind` gives through `fixed_point_forms`: numerators
     with their Jacobian, and denominators, compiled once per monomial support.
     """
 
@@ -456,20 +456,18 @@ class FixedPointSystem:
 
     nums, dens  the canonical (numerator, denominator) pair of each G_i at
                 y = 0 over the variables `xs + params`
-    divisors    (d, num, den) for each divisor d of G as written, inner ones
-                first, with the canonical pair of d at y = 0 over `xs + params`
+    divisors    (d, num) for each divisor d of G as written, inner ones
+                first, with the canonical numerator of d at y = 0 over
+                `xs + params`
 
     A divisor that is zero at y = 0 whatever the parameters ends the list,
     and nums and dens are then empty, as G at y = 0 is nowhere defined.
-    `bind` makes the pairs at one parameter point from these in integer
-    arithmetic, so no point substitutes, canonicalizes or compiles;
-    `divisor_numerators` gives the numerators of the divisors there, whose
-    zeros the reduced pairs need not show.
+    `bind` makes G at rest and its divisors at exact values of any of the
+    parameters in integer arithmetic, for the fixed-point search (all of
+    them) and for `assemble_semialgebraic` (those it is given).
     """
 
-    __slots__ = (
-        "model", "nums", "dens", "divisors", "_binder", "_checks", "_pairs", "_positional"
-    )
+    __slots__ = ("model", "nums", "dens", "divisors", "_splits")
 
     def __init__(self, model: Model):
         self.model = model
@@ -479,77 +477,78 @@ class FixedPointSystem:
         # inner divisors first: once each is nonzero, the next one and G
         # substitute and canonicalize without a zero denominator
         for d in (d for g in model.G for d in _divisors(g)):
-            cr = canonicalize(substitute(d, zeros), order)
-            self.divisors.append((d, cr.num, cr.den))
-            if not cr.num:
+            num = canonicalize(substitute(d, zeros), order).num
+            self.divisors.append((d, num))
+            if not num:
                 break
         else:
             for g in model.G:
                 cr = canonicalize(substitute(g, zeros), order)
                 self.nums.append(cr.num)
                 self.dens.append(cr.den)
-        # each polynomial as (position monomial, index in the binder of its
-        # coefficient there, a polynomial in the parameters) pairs
-        polys: list = []
+        self._splits: dict = {}
 
-        def split(p: Poly) -> list:
-            by_position: dict = {}
-            for m, c in p.items():
-                by_position.setdefault(m[:model.n], {})[m[model.n:]] = c
-            polys.extend(by_position.values())
-            return list(zip(by_position, range(len(polys) - len(by_position), len(polys))))
+    def bind(self, values: Mapping[str, Fraction]) -> tuple[list[Poly], list[Poly], list[Poly]]:
+        """(nums, dens, divisors) over the positions and the parameters
+        without a value (no defaults apply), from one weight table.
 
-        self._checks = [(d, split(num)) for d, num, _ in self.divisors]
-        self._positional = [terms for _, terms in self._checks if any(any(m) for m, _ in terms)]
-        self._pairs = [(split(num), split(den)) for num, den in zip(self.nums, self.dens)]
-        self._binder = ParameterBinder(polys, len(model.params))
-
-    def bind(
-        self, params: Mapping[str, Fraction | float] | None
-    ) -> tuple[list[Poly], list[Poly]]:
-        """The canonical pairs (nums, dens) of G at y = 0 over `xs` at one
-        parameter point.
-
-        The values are bound into `nums` and `dens` in integer arithmetic,
-        and each pair is reduced as `canonicalize` reduces it, so it is the
-        pair made by substituting the values and canonicalizing.  A divisor
-        of G that is the zero polynomial at y = 0 and the point raises
-        ZeroDenominatorError; unknown or missing parameters raise ModelError
-        (see Model.binding).
+        The pairs are reduced as `canonicalize` reduces them, so they are
+        those made by substituting the values and canonicalizing.  The
+        divisor numerators, whose zeros the pairs need not show, are made
+        primitive, involve a position and are listed once, in the order of
+        `divisors`.  A divisor that is the zero polynomial at y = 0 and the
+        values raises ZeroDenominatorError; an unknown name, ModelError.
         """
-        bind = self.model.binding(params)
-        weights, _ = self._binder.weights([bind[p] for p in self.model.params])
-        value = self._binder.value
-        for d, terms in self._checks:
-            if not any(value(i, weights) for _, i in terms):
+        model = self.model
+        names = tuple(p for p in model.params if p in values)
+        if len(names) < len(values):
+            unknown = next(k for k in values if k not in model.params)
+            raise ModelError(f"unknown parameter '{unknown}' for model '{model.name}'")
+        if names not in self._splits:
+            self._splits[names] = self._split(names)
+        binder, checks, pairs, order = self._splits[names]
+        weights, _ = binder.weights([values[p] for p in names])
+
+        def at(terms: list) -> Poly:
+            return {m: c for m, i in terms if (c := binder.value(i, weights))}
+
+        divisors: list[Poly] = []
+        for d, terms in checks:
+            p = at(terms)
+            if not p:
                 raise ZeroDenominatorError(d, "after substitution")
+            if any(any(m[:model.n]) for m in p):
+                p = p_primitive(p)
+                if p not in divisors:
+                    divisors.append(p)
         nums, dens = [], []
-        for pair in self._pairs:
-            num, den = ({m: c for m, i in terms if (c := value(i, weights))} for terms in pair)
-            cr = _canon_pair(self.model.xs, num, den)
+        for num, den in pairs:
+            cr = _canon_pair(order, at(num), at(den))
             nums.append(cr.num)
             dens.append(cr.den)
-        return nums, dens
+        return nums, dens, divisors
 
-    def divisor_numerators(self, params: Mapping[str, Fraction | float] | None) -> list[Poly]:
-        """The numerators over `xs` of the divisors of G at y = 0 that
-        involve a position, at one parameter point: G as written is
-        undefined where one of them is zero.
+    def _split(self, names: tuple[str, ...]) -> tuple:
+        """The binder of every coefficient as a polynomial in `names`, the
+        divisors and pairs as (monomial in the other variables, coefficient
+        index) lists, and the other variables."""
+        model = self.model
+        order = model.xs + model.params
+        bound = [i for i, v in enumerate(order) if v in names]
+        kept = [i for i, v in enumerate(order) if v not in names]
+        polys: list[Poly] = []
 
-        Each is bound in integer arithmetic as in `bind` and made primitive
-        (see `p_primitive`); each is listed once, in the order of
-        `divisors`, and one left without a position is dropped.
-        """
-        if not self._positional:
-            return []
-        bind = self.model.binding(params)
-        weights, _ = self._binder.weights([bind[p] for p in self.model.params])
-        out: list[Poly] = []
-        for terms in self._positional:
-            p = p_primitive({m: c for m, i in terms if (c := self._binder.value(i, weights))})
-            if any(map(any, p)) and p not in out:
-                out.append(p)
-        return out
+        def split(p: Poly) -> list:
+            by_rest: dict = {}
+            for m, c in p.items():
+                by_rest.setdefault(tuple(m[i] for i in kept), {})[tuple(m[i] for i in bound)] = c
+            polys.extend(by_rest.values())
+            return list(zip(by_rest, range(len(polys) - len(by_rest), len(polys))))
+
+        checks = [(d, split(num)) for d, num in self.divisors]
+        pairs = [(split(num), split(den)) for num, den in zip(self.nums, self.dens)]
+        rest = tuple(order[i] for i in kept)
+        return ParameterBinder(polys, len(names)), checks, pairs, rest
 
 
 def _divisors(e: Expr) -> list[Expr]:

@@ -12,6 +12,7 @@ at unstable ones.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,6 +96,20 @@ def _rk4(z, out, k0, nsteps, dt):
 """
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """The number of fixed steps, round(t_end / dt), that reach t_end.
+
+    ValueError unless t_end and dt are finite and positive and the count is
+    at most sys.maxsize, the most a sequence can hold.
+    """
+    if not (0 < t_end < math.inf and 0 < dt < math.inf):  # also rejects nan
+        raise ValueError("t_end and dt must be finite and positive")
+    steps = t_end / dt
+    if not steps <= sys.maxsize:
+        raise ValueError(f"t_end / dt is {steps:.3g} steps, more than {sys.maxsize}")
+    return round(steps)
+
+
 def _rk4_trace(accel, guards, z0, t_end, dt, names, finite=True) -> Trace:
     """Fixed-step RK4 on x' = y, y' = a(x, y), run as one generated loop.
 
@@ -109,9 +124,9 @@ def _rk4_trace(accel, guards, z0, t_end, dt, names, finite=True) -> Trace:
     Step 1 runs alone into a buffer holding z0 in every row: if it maps z0 to
     itself byte for byte, so would every later step (the models are
     autonomous), and the trace is complete; otherwise the loop resumes.
+    The step count is `step_count(t_end, dt)`, whose ValueError comes first.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("t_end and dt must be positive")
+    nsteps = step_count(t_end, dt)
     n = len(accel)
     m = 2 * n
 
@@ -139,7 +154,6 @@ def _rk4_trace(accel, guards, z0, t_end, dt, names, finite=True) -> Trace:
     ns = dict(isfinite=math.isfinite, IntegrationError=IntegrationError,
               _FLOOR=DENOMINATOR_FLOOR, _BELOW=f"denominator below {DENOMINATOR_FLOOR:g}")
     run = exec_generated(src, "_rk4", ns)
-    nsteps = int(round(t_end / dt))
     out = array("d", z0) * (nsteps + 1)
     run(z0, out, 1, min(nsteps, 1), dt)
     if nsteps > 1 and out[m:2 * m].tobytes() != out[:m].tobytes():
@@ -358,7 +372,10 @@ def jacobi_focusing(
     u(0) = 0, u'(0) = W and profiling against t² therefore reproduces the
     stable/unstable dichotomy as Bunching/Dispersing.  W defaults to the
     dominant eigendirection of P, which maximizes the margin of the verdict.
+    A t_probe that is not finite and positive raises ValueError.
     """
+    if not 0 < t_probe < math.inf:  # also rejects nan
+        raise ValueError("t_probe must be finite and positive")
     P = Classifier(model, params).curvature_at(point)
     n = P.shape[0]
     if W is None:

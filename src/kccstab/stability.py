@@ -32,19 +32,17 @@ from .expr import (
     _checked,
     canonicalize,
     char_poly,
-    collect_symbols,
     det,
     p_const,
     p_exquo,
     p_gcd,
     p_mul,
-    p_primitive,
     p_str,
     parse,
     poly_of,
     substitute,
 )
-from .kcc import Model, ModelError, _divisors
+from .kcc import Model, ModelError
 
 DEFAULT_BOX_HALFWIDTH = 10.0
 DEFAULT_SEEDS_PER_AXIS = 9
@@ -163,23 +161,21 @@ def find_fixed_points(
     singular Jacobian or leaving the escape radius, and converges when its
     step is below 1e-12 relative.  Converged candidates are kept only if
     every G_i denominator, and the numerator of every divisor of G as
-    written that involves a position (`FixedPointSystem.divisor_numerators`),
+    written that involves a position (see `FixedPointSystem.bind`),
     stays above DEFAULT_DENOM_MARGIN in magnitude, and the true residual
     max_i |G_i| is below DEFAULT_RESIDUAL_SCALE * (1 + |x|).  Duplicates
     within DEFAULT_DEDUP_RADIUS (max-norm) collapse, earlier seeds first, by
     vector comparisons (`_first_of_each_root`); results sort lexicographically.
 
-    The numerators and denominators are those of
-    `model.compiled.fixed_points.bind`, the reduced canonical pairs of the
-    G_i at y = 0 at this parameter point, evaluated by the numerators with
-    their Jacobian, then the denominators (`model.compiled.fixed_point_forms`).
+    The pairs and divisor numerators are those `conditions` prints, from
+    `model.compiled.fixed_points.bind` at `model.binding(params)`, evaluated
+    by the numerators with their Jacobian, then the denominators and the
+    divisor numerators (`model.compiled.fixed_point_forms`).
     """
     n = model.n
     bounds = _normalize_box(box, n)
-    system = model.compiled.fixed_points
-    nums, dens = system.bind(params)
+    nums, dens, divisors = model.compiled.fixed_points.bind(model.binding(params))
     # the divisor numerators are evaluated after the denominators
-    divisors = system.divisor_numerators(params)
     (f_fj, c_fj), (f_den, c_den) = model.compiled.fixed_point_forms(nums, dens + divisors)
 
     span = max(hi - lo for lo, hi in bounds)
@@ -418,6 +414,9 @@ class SemiAlgebraicSystem:
     inequations  position-dependent numerators of the divisors of G as
                  written, at y = 0                   (!= 0)
     inequalities num*den products of a_n and each Hurwitz determinant (> 0)
+
+    The equations and inequations are the pairs and divisor numerators of
+    `FixedPointSystem.bind`, the ones the fixed-point search runs on.
     """
 
     vars: tuple[str, ...]
@@ -461,37 +460,22 @@ def assemble_semialgebraic(
     def check(value: CanonicalRational, context: str):
         _bcheck(value.monomial_count(), budget, context)
 
-    bind: dict = {}
-    if params:
-        for k, v in params.items():
-            if k not in model.params:
-                raise ModelError(f"unknown parameter '{k}' for model '{model.name}'")
-            bind[k] = Fraction(v)
-    free_params = tuple(p for p in model.params if p not in bind)
-    order = model.xs + free_params
-    zeros = dict(bind)
-    zeros.update({y: 0 for y in model.ys})
-
-    equations: list[Poly] = []
-    inequations: list[Poly] = []
+    values = {k: Fraction(v) for k, v in (params or {}).items()}
+    # G at rest and its divisors are those the fixed-point search binds
+    equations, dens, inequations = model.compiled.fixed_points.bind(values)
+    for num, den in zip(equations, dens):
+        _bcheck(len(num) + len(den), budget, "clearing G denominators")
+    order = model.xs + tuple(p for p in model.params if p not in values)
+    if not inequations:
+        inequations.append(p_const(1, len(order)))
+    zeros = {**values, **{y: 0 for y in model.ys}}
     try:
-        for g in model.G:
-            cr = canonicalize(substitute(g, zeros), order)
-            check(cr, "clearing G denominators")
-            equations.append(cr.num)
-        # the reduced G can have lost a divisor's zeros, so they come from G as written
-        for d in (d for g in model.G for d in _divisors(g) if collect_symbols(d) & set(model.xs)):
-            p = p_primitive(canonicalize(substitute(d, zeros), order).num)
-            if any(any(m[:model.n]) for m in p) and p not in inequations:
-                inequations.append(p)
         P0 = [
             [canonicalize(substitute(e, zeros), order) for e in row]
             for row in model.compiled.invariants.P
         ]
     except RecursionError:
         raise ExprError("expression nested too deeply to canonicalize") from None
-    if not inequations:
-        inequations.append(p_const(1, len(order)))
     for row in P0:
         for cr in row:
             check(cr, "canonicalizing deviation curvature")

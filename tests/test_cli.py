@@ -429,6 +429,30 @@ def test_focusing_verdicts(capsys, tmp_path):
     assert rows[0] == ["t", "norm_sq", "t_sq"] and len(rows) == 101
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", *WS, "--x0", "2,1", "--t-end", "1e30"],
+    ["simulate", *WS, "--x0", "2,1", "--t-end", "inf"],
+    ["simulate", *WS, "--x0", "2,1", "--dt", "1e-300"],
+    ["simulate", *WS, "--x0", "2,1", "--w", "1,0", "--t-probe", "nan"],
+    ["simulate", *WS, "--x0", "inf,1"],
+    ["focusing", *WS, "--point", "2,1", "--t-probe", "inf"],
+    ["classify", *AIRFOIL_1, "--box", "-1:1", "--tol", "-1"],
+    ["classify", *AIRFOIL_1, "--box", "-1:1", "--tol", "nan"],
+    ["classify", *AIRFOIL_1, "--box", "-1:1", "--tol", "inf"],
+    ["classify", *AIRFOIL_1, "--point", "nan,0"],
+    ["fixed-points", *AIRFOIL_1, "--box=-inf:inf"],
+    ["conditions", *WS, "--budget", "0"],
+    ["conditions", *WS, "--budget", "-1"],
+], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+def test_non_finite_or_out_of_range_flags_are_usage_errors(capsys, tmp_path, argv):
+    # each is checked before any work: nothing is allocated or written
+    out = tmp_path / "out"
+    rc, stdout, err = run(capsys, [*argv, "--out", str(out)])
+    assert (rc, stdout) == (1, "")
+    assert_one_line_error(err, "kccstab: error: ")
+    assert not out.exists()
+
+
 def test_focusing_rejects_tiny_sample_count(capsys):
     rc, _, err = run(capsys, ["focusing", *WS, "--point", "2,1", "--samples", "2"])
     assert rc == 1 and "samples" in err
@@ -493,40 +517,47 @@ def test_exit_codes(capsys, argv, code):
     assert rc == code
 
 
-# the three built-in models as model files, with their example parameters
+TRACTOR_DEFAULTS = ",".join(f"{k}={v}" for k, v in kccstab.builtin("tractor_seat").defaults.items())
+# the three built-in models as model files, with their example parameters;
+# `conditions` runs with every parameter bound, so its conditions are in the
+# positions alone, and under a budget that ends any edit's blow-up early
 BUILTIN_FILES = [
-    (kccstab.dumps(kccstab.builtin(name)), params)
-    for name, params in [("wound_strings", WS[3]), ("airfoil", AIRFOIL_1[3]), ("tractor_seat", "")]
+    (kccstab.dumps(kccstab.builtin(name)), params, bound)
+    for name, params, bound in [("wound_strings", WS[3], WS[3]), ("airfoil", AIRFOIL_1[3], AIRFOIL_1[3]),
+                                ("tractor_seat", "", TRACTOR_DEFAULTS)]
 ]
-FUZZ_COMMANDS = [["invariants"], ["deviation"], ["fixed-points", "--seeds", "3"], ["classify"]]
+FUZZ_COMMANDS = [["invariants"], ["deviation"], ["fixed-points", "--seeds", "3"], ["classify"], ["region"]]
 
 
 @st.composite
 def edited_model_files(draw):
     """A built-in model file with one to three random character edits, half
-    of them inside the G lines, and its parameters."""
-    text, params = draw(st.sampled_from(BUILTIN_FILES))
+    of them inside the G lines, its parameters, and its parameters with
+    every one bound."""
+    text, params, bound = draw(st.sampled_from(BUILTIN_FILES))
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(text)) | st.integers(text.find("G1"), len(text)))
         kind = draw(st.sampled_from(["insert", "delete", "replace"]))
         char = "" if kind == "delete" else draw(st.sampled_from("0123456789xy^*/+-()=.#\n aCpG"))
         text = text[:i] + char + text[i + (kind != "insert"):]
-    return text, params
+    return text, params, bound
 
 
 @given(case=edited_model_files())
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_edited_model_files_keep_the_exit_code_contract(case):
-    text, params = case
+    text, params, bound = case
     try:
         loads(text)
     except (ModelError, ExprError):
         pass
+    runs = [[*command, "--params", params] for command in FUZZ_COMMANDS]
+    runs.append(["conditions", "--params", bound, "--budget", "20000"])
     with tempfile.TemporaryDirectory() as tmp:
         model_file, out = Path(tmp) / "edited.kcc", Path(tmp) / "out.txt"
         model_file.write_text(text)
-        for command in FUZZ_COMMANDS:
-            argv = [*command, "--model", str(model_file), "--params", params, "--out", str(out)]
+        for command in runs:
+            argv = [*command, "--model", str(model_file), "--out", str(out)]
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = main(argv)

@@ -128,6 +128,23 @@ def test_integrate_argument_validation():
         integrate(oscillator(), None, ([0.0], [1.0]), -1.0, 1e-2)
 
 
+@pytest.mark.parametrize("t_end, dt, match", [
+    (float("inf"), 1e-2, "finite and positive"),
+    (float("nan"), 1e-2, "finite and positive"),
+    (1.0, float("inf"), "finite and positive"),
+    (1.0, float("nan"), "finite and positive"),
+    # step counts beyond sys.maxsize, rejected before anything is allocated
+    (1e30, 1e-3, "steps"),
+    (1.0, 1e-300, "steps"),
+    (1e300, 1e-300, "steps"),
+])
+def test_integrate_rejects_non_finite_times_and_huge_step_counts(t_end, dt, match):
+    with pytest.raises(ValueError, match=match):
+        integrate(oscillator(), None, ([0.0], [1.0]), t_end, dt)
+    with pytest.raises(ValueError, match=match):
+        integrate_deviation(oscillator(), None, [0.0], [1.0], t_end, dt)
+
+
 def test_denominator_abort_mid_run():
     # x1(t) = e^{-t} decays into the singular hyperplane x1 = 0:
     # x1'' = x1 - 2 x2/x1 with x2 identically zero.
@@ -538,6 +555,12 @@ def test_degenerate_trace_rejected():
     tr = integrate_deviation(ws, WS_PARAMS, (2.0, 1.0), [1.0, 0.0], 1.0, 0.4)
     with pytest.raises(ValueError, match="degenerate"):
         focusing_profile(tr, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("t_probe", [float("inf"), float("nan"), -1.0, 0.0])
+def test_focusing_rejects_a_probe_window_that_is_not_finite_and_positive(t_probe):
+    with pytest.raises(ValueError, match="t_probe"):
+        jacobi_focusing(builtin("wound_strings"), WS_PARAMS, (2.0, 1.0), t_probe=t_probe)
 
 
 def test_profile_rejects_zero_direction():

@@ -482,9 +482,8 @@ def _reference_fixed_points(model, params, box, seeds):
     the numerators, their Jacobian and the denominators, and the same
     stacked `np.linalg.solve` steps."""
     n, xs = model.n, model.xs
-    system = model.compiled.fixed_points
-    nums, dens = system.bind(params)
-    dens = dens + system.divisor_numerators(params)
+    nums, dens, divisors = model.compiled.fixed_points.bind(model.binding(params))
+    dens = dens + divisors
     jac = [p_diff(p, j) for p in nums for j in range(n)]
     f_num, f_jac, f_den = (
         compile_callable([p_to_expr(p, xs) for p in polys], xs) for polys in (nums, jac, dens)
@@ -706,11 +705,18 @@ G1 = (k*x1 + q*(2*x1) - b*x1^3 + c*y1)/(2*(1 + x1^2))
 """
 
 
+def _unbound(model, params):
+    """The positions and the parameters without a value, in model order."""
+    return model.xs + tuple(p for p in model.params if p not in params)
+
+
 def _substituted_pairs(model, params):
     """The reference pairs: the values substituted, then the velocities set
-    to 0, and each G_i canonicalized over the positions."""
+    to 0, and each G_i canonicalized over the positions and the parameters
+    left unbound."""
     zeros = {y: 0 for y in model.ys}
-    made = [canonicalize(substitute(g, zeros), model.xs) for g in model.g_bound(params)]
+    made = [canonicalize(substitute(substitute(g, params), zeros), _unbound(model, params))
+            for g in model.G]
     return [cr.num for cr in made], [cr.den for cr in made]
 
 
@@ -735,7 +741,7 @@ def test_degenerate_parameters_take_the_exact_path():
     # reduced form is x1/(x1 + 1), whose root x1 = 0 is a zero of the divisor
     # x1*(x1 + 1) of G as written, so it is not a fixed point
     for p in (0, Fraction(-1, 4)):
-        assert system.bind({"p": p}) == _reduced(_substituted_pairs(m, {"p": p}), m.xs)
+        assert system.bind({"p": p})[:2] == _reduced(_substituted_pairs(m, {"p": p}), m.xs)
     assert find_fixed_points(m, {"p": 0}) == []
     fps = find_fixed_points(m, {"p": Fraction(-1, 4)})
     assert [fp.point for fp in fps] == [(-0.5,), (0.5,)]
@@ -749,7 +755,7 @@ def test_two_position_denominators_in_one_sum_take_the_exact_path():
     # and without the gcd would give the margin 4/9
     m = loads("model twin\nparams p\nvars x1\nG1 = 1/(x1 + p) + 1/(x1 + 1) - 3\n")
     params = {"p": 1}
-    assert m.compiled.fixed_points.bind(params) == _reduced(_substituted_pairs(m, params), m.xs)
+    assert m.compiled.fixed_points.bind(params)[:2] == _reduced(_substituted_pairs(m, params), m.xs)
     (fp,) = find_fixed_points(m, params)
     assert fp.point == pytest.approx((-1 / 3,)) and fp.denom_margin == pytest.approx(2 / 3)
 
@@ -801,7 +807,7 @@ def test_bind_at_chosen_points(source, params, generic):
             system.bind(params)
         assert not generic
         return
-    nums, dens = system.bind(params)
+    nums, dens, _ = system.bind(params)
     assert (nums, dens) == reference
     support = [{k[:1] for k in p} for p in system.nums + system.dens]
     assert (dens[0].keys() == {(0,)} and [set(p) for p in nums + dens] == support) == generic
@@ -822,7 +828,7 @@ def test_zeroed_term_takes_the_exact_path():
 def test_airfoil_vanishing_cubic_coefficient_takes_the_exact_path():
     af = builtin("airfoil")
     params = {"Minf": Fraction(1000, 9), "V": 3}  # V^2 Minf = 1000: no x2^3 in G1
-    assert af.compiled.fixed_points.bind(params) == _reduced(_substituted_pairs(af, params), af.xs)
+    assert af.compiled.fixed_points.bind(params)[:2] == _reduced(_substituted_pairs(af, params), af.xs)
     pairs = classify_all(af, params, box=(-4, 4))
     assert [(fp.point, rep.verdict) for fp, rep in pairs] == [((0.0, 0.0), STABLE)]
     assert airfoil_region_conditions(params["Minf"], params["V"]).stable_count == 1
@@ -850,6 +856,19 @@ def test_fixed_point_search_does_no_symbolic_work_per_point(monkeypatch):
     for m, params, box, found in sweeps:
         for k in range(5):
             assert len(find_fixed_points(m, params(k), box=box, seeds=5)) == found, m.name
+
+
+def test_fixed_point_search_binds_once_per_point(monkeypatch):
+    # the pairs and the divisor numerators, here a^2 x1^2 + m^2 x2^2 and
+    # two more, come from one weight table
+    ws = builtin("wound_strings")
+    find_fixed_points(ws, WS_PARAMS, box=(-4, 4), seeds=5)  # builds the system
+    calls = []
+    for cls, name in ((kcc.Model, "binding"), (ParameterBinder, "weights")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, *a, _f=real, _n=name: calls.append(_n) or _f(self, *a))
+    assert len(find_fixed_points(ws, WS_PARAMS, box=(-4, 4), seeds=5)) == 4
+    assert calls == ["binding", "weights"]
 
 
 def test_wound_strings_sweep_compiles_the_search_once(monkeypatch):
@@ -944,24 +963,26 @@ def test_bind_certifies_only_exact_canonical_forms(g1, g2):
     """Where the substituted form exists, `bind` gives it divided by its gcd,
     or raises naming a divisor of G that is zero at y = 0 and the point (the
     substituted form can miss one, when the values drop the term over it);
-    where it does not exist, `bind` raises."""
+    where it does not exist, `bind` raises.  Both parameters are bound, and
+    then p alone, which leaves pairs over (x1, x2, q)."""
     m = kcc.Model("random", ("x1", "x2"), [g1, g2], params=("p", "q"))
     system = m.compiled.fixed_points
     divisors = kcc._divisors(g1) + kcc._divisors(g2)
-    for values in itertools.product(_VALUES, repeat=2):
-        params = dict(zip(m.params, values))
+    bindings = [dict(zip(m.params, values)) for values in itertools.product(_VALUES, repeat=2)]
+    for params in bindings + [{"p": v} for v in _VALUES]:
+        order = _unbound(m, params)
         try:
-            reference = _reduced(_substituted_pairs(m, params), m.xs)
+            reference = _reduced(_substituted_pairs(m, params), order)
         except ExprError:
             with pytest.raises(ZeroDenominatorError, match="after substitution"):
                 system.bind(params)
             continue
         try:
-            bound = system.bind(params)
+            bound = system.bind(params)[:2]
         except ZeroDenominatorError as e:
             assert e.subexpr in divisors, (str(g1), str(g2), params)
             at = {**params, "y1": 0, "y2": 0}
-            assert canonicalize(substitute(e.subexpr, at), m.xs).is_zero, (str(g1), str(g2), params)
+            assert canonicalize(substitute(e.subexpr, at), order).is_zero, (str(g1), str(g2), params)
             continue
         assert bound == reference, (str(g1), str(g2), params)
 
@@ -975,7 +996,7 @@ def test_bound_pairs_agree_with_sympy(fixed_point_models):
         syms = {v: sympy.Symbol(v) for v in m.xs + m.ys + m.params}
         for _ in range(2):
             params = {p: Fraction(rng.randint(1, 64), rng.randint(1, 16)) for p in m.params}
-            bound = m.compiled.fixed_points.bind(params)
+            bound = m.compiled.fixed_points.bind(params)[:2]
             assert bound == _reduced(_substituted_pairs(m, params), m.xs), (name, params)
             at = {syms[p]: sympy.Rational(v.numerator, v.denominator) for p, v in params.items()}
             at.update({syms[y]: 0 for y in m.ys})
@@ -1148,6 +1169,7 @@ def test_conditions_keep_a_divisor_that_cancels(params):
     ("chain2", CHAIN_PARAMS),
     ("cancelled", None),
     ("degen", {"p": 0}),
+    ("wound_strings", {"a": Fraction(1, 2)}),
 ])
 def test_inequations_vanish_only_where_a_divisor_does(fixed_point_models, name, params):
     """Each NEQ polynomial divides the numerator of a divisor of G as
