@@ -30,6 +30,8 @@ from .expr import ExprError, to_float
 from .kcc import ModelError, invariants, kcc_deviation
 from .models import BUILTIN_NAMES, builtin, load, parse_rational
 from .numerics import (
+    DEFAULT_PROBE_SAMPLES,
+    DEFAULT_PROBE_WINDOW,
     IntegrationError,
     focusing_profile,
     integrate,
@@ -40,6 +42,8 @@ from .numerics import (
     write_trace_csv,
 )
 from .stability import (
+    DEFAULT_MONOMIAL_BUDGET,
+    DEFAULT_SEEDS_PER_AXIS,
     DEFAULT_TOL,
     INDETERMINATE,
     STABLE,
@@ -152,7 +156,7 @@ def _check_seeds(seeds: int) -> int:
 
 
 def _write_or_print(args, text: str):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
@@ -160,15 +164,15 @@ def _write_or_print(args, text: str):
 
 
 def _emit(args, text_lines, json_obj, csv_rows=None):
+    """Write the report in the chosen format; the parser offers csv only to
+    the subcommands that pass rows."""
     if args.format == "json":
-        _write_or_print(args, json.dumps(json_obj, indent=2))
+        text = json.dumps(json_obj, indent=2)
     elif args.format == "csv":
-        if csv_rows is None:
-            raise UsageError("csv format is not supported for this command")
-        lines = [",".join(str(c) for c in row) for row in csv_rows]
-        _write_or_print(args, "\n".join(lines))
+        text = "\n".join(",".join(str(c) for c in row) for row in csv_rows)
     else:
-        _write_or_print(args, "\n".join(text_lines))
+        text = "\n".join(text_lines)
+    _write_or_print(args, text)
 
 
 def _g(x: float) -> str:
@@ -186,49 +190,33 @@ def _g17(x: float) -> str:
 # subcommands
 
 
-def _matrix_strings(M) -> list[list[str]]:
-    return [[str(e) for e in row] for row in M]
+def _tensor(name: str, entries, index: str = ""):
+    """The `name[i]...[k] = entry` lines (1-based, row-major) and the nested
+    strings of a tensor given as nested lists of entries."""
+    if not isinstance(entries, list):
+        text = str(entries)
+        return [f"{name}{index} = {text}"], text
+    lines, strings = [], []
+    for i, sub in enumerate(entries, 1):
+        sub_lines, sub_strings = _tensor(name, sub, f"{index}[{i}]")
+        lines += sub_lines
+        strings.append(sub_strings)
+    return lines, strings
 
 
 def cmd_invariants(args) -> int:
     model = _load_model(args.model)
     inv = invariants(model)
-    n = model.n
-    lines = [f"model: {model.name} (n = {n})"]
-    for i in range(n):
-        lines.append(f"epsilon[{i + 1}] = {inv.epsilon[i]}")
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"N[{i + 1}][{j + 1}] = {inv.N[i][j]}")
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"P[{i + 1}][{j + 1}] = {inv.P[i][j]}")
-    obj = {
-        "model": model.name,
-        "n": n,
-        "epsilon": [str(e) for e in inv.epsilon],
-        "N": _matrix_strings(inv.N),
-        "P": _matrix_strings(inv.P),
-    }
+    lines = [f"model: {model.name} (n = {model.n})"]
+    obj = {"model": model.name, "n": model.n}
+    # (JSON key, text name): the text stops at torsion
+    tensors = [("epsilon", "epsilon"), ("N", "N"), ("P", "P")]
     if args.all:
-        tor, rie, dou = inv.torsion, inv.riemann, inv.douglas
-        ber = inv.berwald
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lines.append(f"G[{i + 1}][{j + 1}][{k + 1}] = {ber[i][j][k]}")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lines.append(f"torsion[{i + 1}][{j + 1}][{k + 1}] = {tor[i][j][k]}")
-        obj["berwald"] = [[[str(e) for e in r] for r in m] for m in ber]
-        obj["torsion"] = [[[str(e) for e in r] for r in m] for m in tor]
-        obj["riemann"] = [
-            [[[str(e) for e in r] for r in m] for m in b] for b in rie
-        ]
-        obj["douglas"] = [
-            [[[str(e) for e in r] for r in m] for m in b] for b in dou
-        ]
+        tensors += [("berwald", "G"), ("torsion", "torsion"), ("riemann", None), ("douglas", None)]
+    for key, name in tensors:
+        text, obj[key] = _tensor(name, getattr(inv, key))
+        if name:
+            lines += text
     _emit(args, lines, obj)
     return EXIT_OK
 
@@ -237,29 +225,18 @@ def cmd_deviation(args) -> int:
     model = _load_model(args.model)
     dev = kcc_deviation(model)
     lines = list(dev.equations())
-    n = model.n
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"A21[{i + 1}][{j + 1}] = {dev.A21[i][j]}")
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"A22[{i + 1}][{j + 1}] = {dev.A22[i][j]}")
-    obj = {
-        "model": model.name,
-        "equations": list(dev.equations()),
-        "A21": _matrix_strings(dev.A21),
-        "A22": _matrix_strings(dev.A22),
-    }
+    obj = {"model": model.name, "equations": list(lines)}
+    for key in ("A21", "A22"):
+        text, obj[key] = _tensor(key, getattr(dev, key))
+        lines += text
     params = _parse_params(args.params)
     if args.point:
         point = _parse_vector(args.point, "--point")
-        a21, a22 = dev.at_point(params, point)
         lines.append(f"at point ({', '.join(_g(c) for c in point)}):")
-        lines.append("A21 = " + np.array_str(np.asarray(a21), precision=12))
-        lines.append("A22 = " + np.array_str(np.asarray(a22), precision=12))
         obj["point"] = point
-        obj["A21_at_point"] = [[float(v) for v in row] for row in np.asarray(a21)]
-        obj["A22_at_point"] = [[float(v) for v in row] for row in np.asarray(a22)]
+        for key, values in zip(("A21", "A22"), dev.at_point(params, point)):
+            lines.append(f"{key} = " + np.array_str(np.asarray(values), precision=12))
+            obj[f"{key}_at_point"] = [[float(v) for v in row] for row in values]
     _emit(args, lines, obj)
     return EXIT_OK
 
@@ -482,13 +459,18 @@ def cmd_region(args) -> int:
 # parser wiring
 
 
-def _add_common(p, out_help="write output to this file instead of stdout"):
+ROW_FORMATS = ("text", "csv", "json")  # for the subcommands that have CSV rows
+
+
+def _add_common(p, params=True, formats=("text", "json"),
+                out_help="write output to this file instead of stdout"):
+    """The options every subcommand takes: --model, --out, and --params and
+    --format where the subcommand reads them (formats=None: no --format)."""
     p.add_argument("--model", required=True, help="builtin model name or model file")
-    p.add_argument("--params", default="", help="comma list name=rational")
-    p.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text",
-        help="output format",
-    )
+    if params:
+        p.add_argument("--params", default="", help="comma list name=rational")
+    if formats:
+        p.add_argument("--format", choices=formats, default="text", help="output format")
     p.add_argument("--out", default=None, help=out_help)
 
 
@@ -497,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="print curvature invariants")
-    _add_common(p)
+    _add_common(p, params=False)
     p.add_argument("--all", action="store_true", help="include third-order tensors")
     p.set_defaults(func=cmd_invariants)
 
@@ -507,42 +489,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deviation)
 
     p = sub.add_parser("fixed-points", help="locate fixed points")
-    _add_common(p)
+    _add_common(p, formats=ROW_FORMATS)
     p.add_argument("--box", default="", help="search box lo:hi[,lo:hi...]")
-    p.add_argument("--seeds", type=int, default=9, help="seed points per axis (at least 3)")
+    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS_PER_AXIS, help="seed points per axis (at least 3)")
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("classify", help="classify fixed points")
-    _add_common(p)
+    _add_common(p, formats=ROW_FORMATS)
     p.add_argument("--box", default="", help="search box lo:hi[,lo:hi...]")
-    p.add_argument("--seeds", type=int, default=9, help="seed points per axis (at least 3)")
+    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS_PER_AXIS, help="seed points per axis (at least 3)")
     p.add_argument("--point", default="", help="classify this point only")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="decision tolerance")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("conditions", help="print semialgebraic stability conditions")
     _add_common(p)
-    p.add_argument(
-        "--budget", type=int, default=200000, help="monomial budget for assembly"
-    )
+    p.add_argument("--budget", type=int, default=DEFAULT_MONOMIAL_BUDGET, help="monomial budget for assembly")
     p.set_defaults(func=cmd_conditions)
 
     p = sub.add_parser("simulate", help="integrate trajectories, write CSV files")
-    _add_common(p, out_help="output directory for CSV files (default .)")
+    _add_common(p, formats=None, out_help="output directory for CSV files (default .)")
     p.add_argument("--x0", required=True, help="initial position x1,...,xn")
     p.add_argument("--y0", default="", help="initial velocity (default zeros)")
     p.add_argument("--w", default="", help="deviation direction for xi'(0)")
     p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
     p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--t-probe", type=float, default=0.5, dest="t_probe")
+    p.add_argument("--t-probe", type=float, default=DEFAULT_PROBE_WINDOW, dest="t_probe")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("focusing", help="focusing verdict at a fixed point")
-    _add_common(p)
+    _add_common(p, formats=ROW_FORMATS)
     p.add_argument("--point", required=True, help="fixed point x1,...,xn")
     p.add_argument("--w", default="", help="deviation direction (default dominant)")
-    p.add_argument("--t-probe", type=float, default=0.5, dest="t_probe")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--t-probe", type=float, default=DEFAULT_PROBE_WINDOW, dest="t_probe")
+    p.add_argument("--samples", type=int, default=DEFAULT_PROBE_SAMPLES)
     p.add_argument(
         "--profile-out", default=None, dest="profile_out",
         help="also write the profile CSV here",

@@ -394,39 +394,27 @@ def jacobi_focusing(
 def perturbation_oracle(
     model: Model,
     params: Mapping[str, Fraction | float] | None,
-    base: Trace | Sequence[float],
+    point: Sequence[float],
     W: Sequence[float],
+    t_end: float,
+    dt: float,
     eta: float = 1e-6,
-    t_end: float | None = None,
-    dt: float | None = None,
 ) -> Trace:
     """Deviation estimate (x̃(t) - x(t)) / eta from two nonlinear runs.
 
-    The base trajectory starts at rest; the perturbed one from velocity
-    eta·W.  Accepts either a precomputed base Trace (its grid is reused) or
-    a point, in which case t_end and dt are required.
+    Both runs start at the position `point`: the base one at rest, the
+    perturbed one with velocity eta·W.
     """
     if eta == 0:
         raise ValueError("eta must be nonzero")
     n = model.n
     W = _check_w(W, n)
-    if isinstance(base, Trace):
-        base_trace = base
-        if base_trace.dt is None:
-            raise ValueError("base trace must have a uniform step")
-        dt = base_trace.dt
-        t_end = float(base_trace.times[-1])
-        point = base_trace.states[0, :n]
-    else:
-        if t_end is None or dt is None:
-            raise ValueError("t_end and dt are required when base is a point")
-        point = np.asarray(base, dtype=float)
-        base_trace = integrate(model, params, (point, np.zeros(n)), t_end, dt)
+    point = np.asarray(point, dtype=float)
+    base = integrate(model, params, (point, np.zeros(n)), t_end, dt)
     pert = integrate(model, params, (point, eta * W), t_end, dt)
-    states = (pert.states - base_trace.states) / eta
     return Trace(
-        times=base_trace.times,
-        states=states,
+        times=base.times,
+        states=(pert.states - base.states) / eta,
         names=_deviation_names(n),
         dt=dt,
         method="fd-oracle",

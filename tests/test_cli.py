@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kccstab
+from kccstab import cli, numerics, stability
 from kccstab.cli import main
 from kccstab.expr import ExprError, evaluate, parse
 from kccstab.kcc import ModelError
@@ -98,7 +100,7 @@ def test_tol_is_a_classify_option_only(capsys):
 
 
 def test_invariants_json_curvature_values(capsys):
-    rc, out, _ = run(capsys, ["invariants", *WS, "--format", "json"])
+    rc, out, _ = run(capsys, ["invariants", "--model", "wound_strings", "--format", "json"])
     assert rc == 0
     doc = json.loads(out)
     assert doc["model"] == "wound_strings" and doc["n"] == 2
@@ -225,6 +227,57 @@ def test_conditions_text_is_byte_stable(capsys, tmp_path, model, params, size, d
         path.write_text(_chain_model_text(int(model[5:])))
         model = str(path)
     rc, out, err = run(capsys, ["conditions", "--model", model] + (["--params", params] if params else []))
+    assert (rc, err) == (0, "")
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+# (argv, stdout length, stdout sha256) of the symbolic reports of the built-ins
+REPORT_DIGESTS = [
+    (["invariants", "--model", "wound_strings"], 3607,
+     "767852ba19f7d32b5a23507b57e0c3197a2df61f73f78695a83c6fb011469b2c"),
+    (["invariants", "--model", "wound_strings", "--format", "json"], 3692,
+     "922a9ec597ff2bdd6648d803f279553b77e2be39ba420ef7ee33a47fee4c888e"),
+    (["invariants", "--model", "wound_strings", "--all", "--format", "json"], 19152,
+     "b33803e9041239e640beaa4a6a43f1f6a492da02a4b0e53c36279088ed5888d7"),
+    (["deviation", *WS], 2724,
+     "d420c6782575add51af39d2033c1683176e2565ef86080560bd604da8d0626f8"),
+    (["deviation", *WS, "--format", "json"], 2844,
+     "0d81d8b277a663004ec3de4345d664d8a4e3b45960380e49d8267d1a6f8dbd84"),
+    (["deviation", *WS, "--point", "2,1"], 2803,
+     "8f3321fc9210f7bc4eac7039f55642ab55e8c5136d4a47ec0fe84c8d6ffc3cc9"),
+    (["invariants", "--model", "airfoil"], 1730,
+     "6d8203830486222fa2027780d463bbfb3efef17de2aeed811d6c69dddc5ff44a"),
+    (["invariants", "--model", "airfoil", "--format", "json"], 1815,
+     "cc245c8784451f2f436d1dde9c05463bf2f6ebaa965bf30b6dfbc228ea0edbb7"),
+    (["invariants", "--model", "airfoil", "--all", "--format", "json"], 3251,
+     "756ea13fedfdd3196a854c0fb5d19ee17fb38d7c7718527469608bc62297a67a"),
+    (["deviation", *AIRFOIL_1], 1034,
+     "ec4d3420d6f862a75a3282eb35080bff12dba6b14112f3911a87846ece53356f"),
+    (["deviation", *AIRFOIL_1, "--format", "json"], 1148,
+     "61a385b783aa4ad35d574f16f841323d43a64cf2af9bc6a822ecb0d35b50974d"),
+    (["deviation", *AIRFOIL_1, "--point", "0,0"], 1205,
+     "c62aedce7cdc955d7c71855d1e02bfb73df04101291bad7ba259fd1aa5777d6c"),
+    (["invariants", "--model", "tractor_seat"], 1282,
+     "95b819958e2f962d0bbeebfb5ee0b30bace9bddd9502f8031315580e2bd7139d"),
+    (["invariants", "--model", "tractor_seat", "--format", "json"], 1375,
+     "81518e6978c69b8ec67b7ba31da54057e9fdf5ff945de402e6f44efd92654ef3"),
+    (["invariants", "--model", "tractor_seat", "--all", "--format", "json"], 6383,
+     "a8935123a8b589c086f703cf9d520ef189cefdf5a219220c1df61731150da083"),
+    (["deviation", "--model", "tractor_seat"], 711,
+     "43838e9d2707c1a7c10b9ca8aaf1b336a5bdc2042f55ce2a0f41a3bc2686baea"),
+    (["deviation", "--model", "tractor_seat", "--format", "json"], 831,
+     "f2d2c0fe439046a45de406e2405aa42b5855d693fb711b08ac3a7f4e5905901c"),
+    (["deviation", "--model", "tractor_seat", "--point", "0,0,0"], 1096,
+     "ed59596b536e1fedb138706a48ca754fcc43ae61473a2156b350839bb19604cb"),
+]
+
+
+@pytest.mark.parametrize("argv,size,digest", REPORT_DIGESTS,
+                         ids=[" ".join(a for a in c[0] if a not in ("--model", "--params", "--format")
+                                       and "=" not in a) for c in REPORT_DIGESTS])
+def test_symbolic_reports_are_byte_stable(capsys, argv, size, digest):
+    rc, out, err = run(capsys, argv)
     assert (rc, err) == (0, "")
     data = out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
@@ -517,6 +570,64 @@ def test_exit_codes(capsys, argv, code):
     assert rc == code
 
 
+# an option or a value that its subcommand does not read, so its parser does not offer it
+NOT_TAKEN = [
+    ["invariants", "--model", "airfoil", "--params", "Minf=abc"],
+    ["simulate", *WS, "--x0", "2,1", "--format", "text"],
+    ["simulate", *WS, "--x0", "2,1", "--format", "csv"],
+    ["simulate", *WS, "--x0", "2,1", "--format", "json"],
+    ["invariants", "--model", "wound_strings", "--format", "csv"],
+    ["deviation", *WS, "--format", "csv"],
+    ["conditions", *WS, "--format", "csv"],
+    ["region", *AIRFOIL_1, "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", NOT_TAKEN, ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+def test_options_a_subcommand_does_not_read_are_parser_errors(capsys, monkeypatch, tmp_path, argv):
+    def load_model(spec):
+        raise AssertionError(f"model {spec!r} loaded")
+
+    monkeypatch.setattr(cli, "_load_model", load_model)
+    out = tmp_path / "out"
+    rc, stdout, err = run(capsys, [*argv, "--out", str(out)])
+    assert (rc, stdout) == (1, "")
+    # argparse's usage, then its one-line message
+    message = err.splitlines()[-1]
+    assert err.startswith("usage: kccstab")
+    assert re.match(r"kccstab( \S+)?: error: ", message)
+    assert argv[-2] in message and argv[-1] in message
+    assert not out.exists()
+
+
+def test_parser_defaults_are_the_library_constants():
+    parser = cli.build_parser()
+
+    def defaults(*argv):
+        return vars(parser.parse_args([*argv, "--model", "wound_strings"]))
+
+    for command in ("fixed-points", "classify"):
+        assert defaults(command)["seeds"] == stability.DEFAULT_SEEDS_PER_AXIS
+    assert defaults("classify")["tol"] == stability.DEFAULT_TOL
+    assert defaults("conditions")["budget"] == stability.DEFAULT_MONOMIAL_BUDGET
+    assert defaults("simulate", "--x0", "2,1")["t_probe"] == numerics.DEFAULT_PROBE_WINDOW
+    focusing = defaults("focusing", "--point", "2,1")
+    assert focusing["t_probe"] == numerics.DEFAULT_PROBE_WINDOW
+    assert focusing["samples"] == numerics.DEFAULT_PROBE_SAMPLES
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line interface", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("kccstab ")]
+    assert len(commands) == 9
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        rc, _, err = run(capsys, argv[1:])
+        assert (rc, err) == (0, ""), argv
+
+
 TRACTOR_DEFAULTS = ",".join(f"{k}={v}" for k, v in kccstab.builtin("tractor_seat").defaults.items())
 # the three built-in models as model files, with their example parameters;
 # `conditions` runs with every parameter bound, so its conditions are in the
@@ -526,7 +637,7 @@ BUILTIN_FILES = [
     for name, params, bound in [("wound_strings", WS[3], WS[3]), ("airfoil", AIRFOIL_1[3], AIRFOIL_1[3]),
                                 ("tractor_seat", "", TRACTOR_DEFAULTS)]
 ]
-FUZZ_COMMANDS = [["invariants"], ["deviation"], ["fixed-points", "--seeds", "3"], ["classify"], ["region"]]
+FUZZ_COMMANDS = [["deviation"], ["fixed-points", "--seeds", "3"], ["classify"], ["region"]]
 
 
 @st.composite
@@ -551,7 +662,8 @@ def test_edited_model_files_keep_the_exit_code_contract(case):
         loads(text)
     except (ModelError, ExprError):
         pass
-    runs = [[*command, "--params", params] for command in FUZZ_COMMANDS]
+    # invariants takes no --params
+    runs = [["invariants"]] + [[*command, "--params", params] for command in FUZZ_COMMANDS]
     runs.append(["conditions", "--params", bound, "--budget", "20000"])
     with tempfile.TemporaryDirectory() as tmp:
         model_file, out = Path(tmp) / "edited.kcc", Path(tmp) / "out.txt"

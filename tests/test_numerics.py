@@ -625,13 +625,6 @@ def test_perturbation_oracle_matches_deviation():
     assert po.method == "fd-oracle"
 
 
-def test_perturbation_oracle_accepts_base_trace():
-    ws = builtin("wound_strings")
-    base = integrate(ws, WS_PARAMS, ([2.0, 1.0], [0.0, 0.0]), 2.0, 1e-2)
-    po = perturbation_oracle(ws, WS_PARAMS, base, [1.0, 0.0])
-    assert len(po) == len(base)
-
-
 def test_perturbation_oracle_rejects_zero_eta():
     ws = builtin("wound_strings")
     with pytest.raises(ValueError, match="eta"):
