@@ -142,11 +142,15 @@ def _parse_box(text: str | None):
     return axes[0] if len(axes) == 1 else axes
 
 
-def _parse_vector(text: str, flag: str) -> list[float]:
+def _parse_vector(text: str, flag: str, n: int | None = None) -> list[float]:
+    """Comma-separated finite numbers; with `n`, exactly n of them."""
     try:
-        return [_finite(v) for v in text.split(",")]
+        vector = [_finite(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"bad {flag} value {text!r}: expected comma-separated finite numbers")
+    if n is not None and len(vector) != n:
+        raise UsageError(f"{flag} must have {n} components")
+    return vector
 
 
 def _check_seeds(seeds: int) -> int:
@@ -223,15 +227,15 @@ def cmd_invariants(args) -> int:
 
 def cmd_deviation(args) -> int:
     model = _load_model(args.model)
+    params = _parse_params(args.params)
+    point = _parse_vector(args.point, "--point", model.n) if args.point else None
     dev = kcc_deviation(model)
     lines = list(dev.equations())
     obj = {"model": model.name, "equations": list(lines)}
     for key in ("A21", "A22"):
         text, obj[key] = _tensor(key, getattr(dev, key))
         lines += text
-    params = _parse_params(args.params)
-    if args.point:
-        point = _parse_vector(args.point, "--point")
+    if point is not None:
         lines.append(f"at point ({', '.join(_g(c) for c in point)}):")
         obj["point"] = point
         for key, values in zip(("A21", "A22"), dev.at_point(params, point)):
@@ -296,7 +300,7 @@ def cmd_classify(args) -> int:
     rows = [["#"] + list(model.xs) + ["verdict"]]
     entries = []
     if args.point:
-        point = tuple(_parse_vector(args.point, "--point"))
+        point = tuple(_parse_vector(args.point, "--point", model.n))
         reports = [Classifier(model, params).classify(point, tol)]
         lines.append("classifying 1 supplied point")
     else:
@@ -369,9 +373,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("--dt must not exceed --t-end")
     if not 0 < args.t_probe < math.inf:  # also rejects nan
         raise UsageError("--t-probe must be finite and positive")
-    W = _parse_vector(args.w, "--w") if args.w else None
-    if W is not None and len(W) != n:
-        raise UsageError(f"--w must have {n} components")
+    W = _parse_vector(args.w, "--w", n) if args.w else None
     trace = integrate(model, params, (x0, y0), args.t_end, args.dt)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -397,8 +399,8 @@ def cmd_simulate(args) -> int:
 def cmd_focusing(args) -> int:
     model = _load_model(args.model)
     params = _parse_params(args.params)
-    point = _parse_vector(args.point, "--point")
-    W = _parse_vector(args.w, "--w") if args.w else None
+    point = _parse_vector(args.point, "--point", model.n)
+    W = _parse_vector(args.w, "--w", model.n) if args.w else None
     if not 0 < args.t_probe < math.inf or args.samples < 3:  # also rejects nan
         raise UsageError("--t-probe must be finite and positive and --samples at least 3")
     prof = jacobi_focusing(

@@ -440,6 +440,25 @@ def test_simulate_checks_w_before_integrating(capsys, tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["deviation", *WS, "--point", "2"], "--point must have 2 components"),
+    (["classify", *WS, "--point", "2,1,0"], "--point must have 2 components"),
+    (["focusing", *WS, "--point", "2"], "--point must have 2 components"),
+    (["focusing", *WS, "--point", "2,1", "--w", "1"], "--w must have 2 components"),
+    (["deviation", "--model", "airfoil", "--params", "Minf=abc"], "bad --params value 'abc'"),
+])
+def test_bad_point_w_or_params_fail_before_any_derivation(capsys, monkeypatch, argv, message):
+    # checked before any derivation: the derivations fail if reached
+    def derive(*args, **kwargs):
+        raise AssertionError("derivation reached")
+
+    for name in ("kcc_deviation", "Classifier", "jacobi_focusing"):
+        monkeypatch.setattr(cli, name, derive)
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err.startswith(f"kccstab: error: {message}")
+
+
 def test_airfoil_zero_speed_is_a_model_error(capsys):
     rc, _, err = run(capsys, ["fixed-points", "--model", "airfoil", "--params", "Minf=1,V=0"])
     assert rc == 2

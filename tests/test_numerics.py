@@ -4,6 +4,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kccstab import numerics
 from kccstab.cli import main
 from kccstab.kcc import Model, kcc_deviation
-from kccstab.expr import ExprError, canonicalize, compile_callable, mul, p_to_expr, parse
+from kccstab.expr import (
+    ExprError, canonicalize, compile_callable, exec_generated, mul, p_to_expr, parse,
+)
 from kccstab.models import TRACTOR_SEAT_REFERENCE_PARAMS, builtin
 from kccstab.numerics import (
     BUNCHING,
@@ -277,6 +281,53 @@ def test_kernel_deviation_agrees_on_builtins():
         assert row_relative_error(tr.states, ref) <= 1e-12, name
 
 
+def test_deviation_powers_agree_over_10k_steps_on_builtins():
+    for name, params, x0, y0 in BUILTIN_STARTS:
+        model = builtin(name)
+        ref = numpy_deviation(model, params, x0, y0, 10.0, 1e-3)
+        tr = integrate_deviation(model, params, x0, y0, 10.0, 1e-3)
+        assert tr.states.shape == ref.shape
+        assert row_relative_error(tr.states, ref) <= 1e-12, name
+
+
+def test_one_deviation_step_is_one_vector_rk4_step():
+    # one step is R·(0, W), R = R(dt·A); against the stepwise vector form
+    # on random linear systems of 1 to 3 positions, within 4 ulps per entry
+    rng = np.random.default_rng(104729)
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        xs = [f"x{i}" for i in range(1, n + 1)]
+        coefs = [Fraction(int(c), 16) for c in rng.integers(-48, 49, size=(n, 2 * n)).flat]
+        terms = [" + ".join(f"({coefs[2 * n * i + j]})*{v}"
+                            for j, v in enumerate(xs + [f"y{i}" for i in range(1, n + 1)]))
+                 for i in range(n)]
+        model = Model("linear", tuple(xs), tuple(parse(t) for t in terms))
+        W = rng.standard_normal(n)
+        ref = numpy_deviation(model, None, [0.0] * n, W, 1e-3, 1e-3)
+        tr = integrate_deviation(model, None, [0.0] * n, W, 1e-3, 1e-3)
+        assert tr.states.shape == (2, 2 * n) and tr.times.tolist() == [0.0, 1e-3]
+        assert same_bits(tr.states[0], ref[0])
+        assert np.all(np.abs(tr.states[1] - ref[1]) <= 4 * np.spacing(np.abs(ref[1]))), terms
+
+
+def test_deviation_overflow_is_quiet_and_agrees_until_it():
+    """The tractor seat's origin is unstable: from W = (1e-5, 1e-4, 1e-4) the
+    deviation passes the float range near t = 22.4.  With numpy 2.4 the
+    stepwise form's first non-finite row is 22,409 and that of the powers is
+    22,568; the rows before the first of the two agree."""
+    model = builtin("tractor_seat")
+    W = [1e-5, 1e-4, 1e-4]
+    with np.errstate(all="ignore"):
+        ref = numpy_deviation(model, TRACTOR_PARAMS, (0.0, 0.0, 0.0), W, 30.0, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = integrate_deviation(model, TRACTOR_PARAMS, (0.0, 0.0, 0.0), W, 30.0, 1e-3)
+    finite = [np.all(np.isfinite(s), axis=1) for s in (ref, tr.states)]
+    end = min(int(np.argmin(f)) for f in finite)
+    assert not all(finite[0]) and not all(finite[1]) and end > 20000
+    assert row_relative_error(tr.states[:end], ref[:end]) <= 1e-12
+
+
 _coef = st.fractions(min_value=-3, max_value=3, max_denominator=16)
 
 
@@ -394,6 +445,33 @@ def test_perturbation_oracle_at_stable_points_matches_the_full_loop(builtin_fixe
         _, pert = numpy_integrate(model, params, (point, eta * W), 1.0, 1e-3)
         po = perturbation_oracle(model, params, point, W, eta=eta, t_end=1.0, dt=1e-3)
         assert same_bits(po.states, (pert - base) / eta), (model.name, point)
+
+
+def test_perturbation_oracle_compiles_one_kernel_for_both_runs(builtin_fixed_points, monkeypatch):
+    stable = [case for case in builtin_fixed_points if case[3] == STABLE]
+    eta = 1e-6
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[1])
+        return exec_generated(*args)
+
+    for model, params, point, _ in stable:
+        n = model.n
+        W = 1e-2 * np.ones(n) / np.sqrt(n)
+        starts = [(point, np.zeros(n)), (point, eta * W)]
+        base, pert = (integrate(model, params, start, 1.0, 1e-3) for start in starts)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "exec_generated", counting)
+            run = numerics._rk4_kernel(model, params)
+            po = perturbation_oracle(model, params, point, W, eta=eta, t_end=1.0, dt=1e-3)
+        assert compiled == ["_rk4", "_rk4"], (model.name, point)  # one each
+        compiled.clear()
+        for ref, start in zip((base, pert), starts):
+            got = run([*map(float, start[0]), *map(float, start[1])], 1.0, 1e-3)
+            assert got.times.tobytes() == ref.times.tobytes()
+            assert got.states.tobytes() == ref.states.tobytes(), (model.name, point)
+        assert po.states.tobytes() == ((pert.states - base.states) / eta).tobytes()
 
 
 def test_rest_start_below_the_guard_floor_aborts_at_the_reference_time():
@@ -701,30 +779,31 @@ def test_block_csv_matches_row_by_row(tmp_path, nrows):
 
 
 # The benchmark's seeded start points (seed 104729), run for 2k steps; the
-# digests were recorded before the compiled RK4 stage shared subexpressions
-# and before the CSV rows were formatted in blocks.
+# trajectory digests were recorded before the compiled RK4 stage shared
+# subexpressions and before the CSV rows were formatted in blocks, the
+# deviation and focusing ones when the deviation became powers of R(dt·A).
 SIMULATE_DIGESTS = [
     ("wound_strings", "a=1/2,C=1,m=-1",
      "1.9691790855779099,0.9677882144754251",
      "0.008802453331723718,0.005890124794560523",
      "0.9997627185442998,0.021783172608949165",
      ("deb71658f69b557df38b5b561bcf63fbd829d4d981fe61de8a7665df8d7c73f3",
-      "5d831bae10b3877dab7526a1f9432cc0c32c1aeb705f4b8fe46674dec9d1099b",
-      "f6b8a1d3df293e472bd48e95031bf0609e08aa789251f40246183cd663df346b")),
+      "23d8b685f31cee80bcd1f2c883e832dbe1a9e7b31773806e6e046a7bd103b0ea",
+      "5f8a24785fa1560de18c2ae32bfa1463dc49b4b2a00894639d65fc0b8a1496e2")),
     ("airfoil", "Minf=2017/256,V=83/4",
      "0.1577076550551505,-0.12172631500184049",
      "0.0053984408520020444,0.003158269171928822",
      "0.9876518695145015,-0.156664560908044",
      ("f4d9353581e801819c99e7266cb7f0d48812aacd3bf69ad129ac95f0068e7cb8",
-      "b725443ae9421db02bd61ea2b9d8158563a9c376a2773b5a5e6d9889c080959c",
-      "db3b5a0d152fa0eeff59b454a4f373b11ced00bfff54023fd0ad5959b66edc09")),
+      "82d866a552cd42d053cb6aa7aa3212162a3a074cc9a6e5e909dfb52a2cfb1b0a",
+      "4b939338a6ad9ff6010db26cfe8c55fbd8761bdd823d13a011c05941b6bba31c")),
     ("tractor_seat", "M1=31/5,M2=57,M3=23,K1=20000,K2=37730,K3=1000,C1=750,C2=159,C3=1000",
      "0.04587329382600416,-0.010064649917328063,0.009703305565921319",
      "-0.0012588883719671668,0.002022215968238386,0.003244039073791276",
      "0.2305550762503717,0.005863616043058267,-0.9730416100157716",
      ("27d4296cc05555efd850ada14cfa0b08e7754358701f45f665821b941c1c9917",
-      "f54b8df2b2bdfd325fad93102dd16fd5cbed4eea0ac6faa2d33e6eb6bcd38eb8",
-      "a223b5b3077152e1ee6e74ed69a93f612d6114ecc84d4d2a212d71dca1008390")),
+      "d6cd0fb407261a287d927885dedd26611a82a4b3836ea1fc856d9c5445a68be0",
+      "51cbab54a167e4508853064c831f800f09bf5439593aba0eb994547895851ccc")),
 ]
 
 
