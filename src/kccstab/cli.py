@@ -153,6 +153,16 @@ def _parse_vector(text: str, flag: str, n: int | None = None) -> list[float]:
     return vector
 
 
+def _parse_w(text: str | None, n: int) -> list[float] | None:
+    """`--w`, the deviation's initial velocity: n finite numbers, not all 0."""
+    if not text:
+        return None
+    W = _parse_vector(text, "--w", n)
+    if not any(W):
+        raise UsageError("--w must be nonzero (the deviation starts with xi(0) = 0)")
+    return W
+
+
 def _check_seeds(seeds: int) -> int:
     if seeds < 3:
         raise UsageError(f"--seeds must be at least 3 per axis (2 seed only the box corners), got {seeds}")
@@ -373,7 +383,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("--dt must not exceed --t-end")
     if not 0 < args.t_probe < math.inf:  # also rejects nan
         raise UsageError("--t-probe must be finite and positive")
-    W = _parse_vector(args.w, "--w", n) if args.w else None
+    W = _parse_w(args.w, n)
     trace = integrate(model, params, (x0, y0), args.t_end, args.dt)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -400,7 +410,7 @@ def cmd_focusing(args) -> int:
     model = _load_model(args.model)
     params = _parse_params(args.params)
     point = _parse_vector(args.point, "--point", model.n)
-    W = _parse_vector(args.w, "--w", model.n) if args.w else None
+    W = _parse_w(args.w, model.n)
     if not 0 < args.t_probe < math.inf or args.samples < 3:  # also rejects nan
         raise UsageError("--t-probe must be finite and positive and --samples at least 3")
     prof = jacobi_focusing(

@@ -11,6 +11,7 @@ a reduced pair of integer-coefficient polynomials.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -720,15 +721,23 @@ def compile_callable(exprs: Sequence[Expr], argnames: Sequence[str]) -> Callable
         missing = collect_symbols(e) - slots.keys()
         if missing:
             raise UnboundSymbolError(sorted(missing)[0])
-    try:
+    with _too_deep("compile"):
         body = ", ".join(_emit(exprs, slots))
-    except RecursionError:
-        raise ExprError("expression nested too deeply to compile") from None
     signature = ", ".join(f"_a{i}" for i in range(len(argnames)))
     src = f"def _compiled({signature}):\n    return ({body},)\n"
     fn = exec_generated(src, "_compiled", {})
     fn.__source__ = src
     return fn
+
+
+@contextlib.contextmanager
+def _too_deep(step: str):
+    """Turn a RecursionError from a recursive tree walk into an ExprError
+    that names the step."""
+    try:
+        yield
+    except RecursionError:
+        raise ExprError(f"expression nested too deeply to {step}") from None
 
 
 def exec_generated(src: str, name: str, namespace: dict) -> Callable:

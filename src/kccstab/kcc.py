@@ -15,6 +15,7 @@ symbolic computation on expression trees.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
@@ -29,6 +30,7 @@ from .expr import (
     Symbol,
     ZeroDenominatorError,
     _canon_pair,
+    _too_deep,
     add,
     as_expr,
     canonicalize,
@@ -66,8 +68,6 @@ class Model:
     derived from G is built on first use and kept in `compiled`.
     """
 
-    __slots__ = ("name", "xs", "ys", "params", "defaults", "G", "_compiled")
-
     def __init__(
         self,
         name: str,
@@ -83,18 +83,15 @@ class Model:
         self.defaults = {k: Fraction(v) for k, v in (defaults or {}).items()}
         self.G = tuple(as_expr(g) for g in G)
         self._validate()
-        self._compiled = None
 
     @property
     def n(self) -> int:
         return len(self.xs)
 
-    @property
+    @cached_property
     def compiled(self) -> "CompiledModel":
         """The invariants and compiled evaluators of this model, built once."""
-        if self._compiled is None:
-            self._compiled = CompiledModel(self)
-        return self._compiled
+        return CompiledModel(self)
 
     def _validate(self):
         if not self.xs:
@@ -143,10 +140,8 @@ class Model:
     def g_bound(self, params: Mapping[str, Fraction | float] | None = None) -> list[Expr]:
         """G expressions with parameter values substituted in."""
         bind = self.binding(params)
-        try:
+        with _too_deep("substitute"):
             return [substitute(g, bind) for g in self.G]
-        except RecursionError:
-            raise ExprError("expression nested too deeply to substitute") from None
 
 
 # --------------------------------------------------------------------------
@@ -165,10 +160,6 @@ class KccInvariants:
     riemann  fourth invariant                P^i_{jkl} = dP^i_{jk}/dy_l
     douglas  fifth invariant                 D^i_{jkl} = dG^i_{jk}/dy_l
     """
-
-    __slots__ = (
-        "model", "N", "berwald", "epsilon", "A21", "P", "_torsion", "_riemann", "_douglas"
-    )
 
     def __init__(self, model: Model):
         self.model = model
@@ -198,31 +189,22 @@ class KccInvariants:
             ]
             for i in range(n)
         ]
-        self._torsion = None
-        self._riemann = None
-        self._douglas = None
 
-    @property
+    @cached_property
     def torsion(self):
-        if self._torsion is None:
-            d, rng = _by_velocities(self.P, self.model.ys), range(self.model.n)
-            self._torsion = [
-                [[mul(Fraction(1, 3), sub(d[i][j][k], d[i][k][j])) for k in rng] for j in rng]
-                for i in rng
-            ]
-        return self._torsion
+        d, rng = _by_velocities(self.P, self.model.ys), range(self.model.n)
+        return [
+            [[mul(Fraction(1, 3), sub(d[i][j][k], d[i][k][j])) for k in rng] for j in rng]
+            for i in rng
+        ]
 
-    @property
+    @cached_property
     def riemann(self):
-        if self._riemann is None:
-            self._riemann = _by_velocities(self.torsion, self.model.ys)
-        return self._riemann
+        return _by_velocities(self.torsion, self.model.ys)
 
-    @property
+    @cached_property
     def douglas(self):
-        if self._douglas is None:
-            self._douglas = _by_velocities(self.berwald, self.model.ys)
-        return self._douglas
+        return _by_velocities(self.berwald, self.model.ys)
 
 
 def _by_velocities(t, ys: Sequence[str]) -> list:
@@ -238,10 +220,8 @@ def invariants(model: Model) -> KccInvariants:
 
     A model nested too deeply to differentiate raises ExprError.
     """
-    try:
+    with _too_deep("differentiate"):
         return KccInvariants(model)
-    except RecursionError:
-        raise ExprError("expression nested too deeply to differentiate") from None
 
 
 # --------------------------------------------------------------------------
@@ -338,53 +318,31 @@ class CompiledModel:
     with their Jacobian, and denominators, compiled once per monomial support.
     """
 
-    __slots__ = (
-        "model", "_invariants", "_blocks", "_curvature", "_deviation", "_fixed_points", "_forms"
-    )
-
     def __init__(self, model: Model):
         self.model = model
-        self._invariants = None
-        self._blocks = None
-        self._curvature = None
-        self._deviation = None
-        self._fixed_points = None
         self._forms = {}
 
-    @property
+    @cached_property
     def invariants(self) -> KccInvariants:
-        if self._invariants is None:
-            self._invariants = invariants(self.model)
-        return self._invariants
+        return invariants(self.model)
 
-    @property
+    @cached_property
     def deviation_blocks(self) -> tuple[list[list[Expr]], list[list[Expr]]]:
-        if self._blocks is None:
-            inv = self.invariants
-            A22 = [[mul(-2, e) for e in row] for row in inv.N]
-            self._blocks = (inv.A21, A22)
-        return self._blocks
+        inv = self.invariants
+        return inv.A21, [[mul(-2, e) for e in row] for row in inv.N]
 
-    @property
+    @cached_property
     def curvature(self) -> Callable:
-        if self._curvature is None:
-            self._curvature = self._compile(self.invariants.P)
-        return self._curvature
+        return self._compile(self.invariants.P)
 
-    @property
+    @cached_property
     def deviation(self) -> Callable:
-        if self._deviation is None:
-            self._deviation = self._compile(*self.deviation_blocks)
-        return self._deviation
+        return self._compile(*self.deviation_blocks)
 
-    @property
+    @cached_property
     def fixed_points(self) -> "FixedPointSystem":
-        if self._fixed_points is None:
-            try:
-                self._fixed_points = FixedPointSystem(self.model)
-            except RecursionError:
-                raise ExprError("expression nested too deeply to canonicalize") from None
-        return self._fixed_points
+        with _too_deep("canonicalize"):
+            return FixedPointSystem(self.model)
 
     def fixed_point_forms(
         self, nums: Sequence[Poly], dens: Sequence[Poly]

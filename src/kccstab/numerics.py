@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import Constant, ExprError, _emit, canonicalize, exec_generated, mul, p_to_expr
+from .expr import Constant, _emit, _too_deep, canonicalize, exec_generated, mul, p_to_expr
 from .kcc import Model, ModelError, kcc_deviation
 from .stability import Classifier
 
@@ -127,14 +127,13 @@ def _rk4_kernel(model: Model, params) -> Callable[[list, float, float], Trace]:
     m = 2 * n
     args = model.xs + model.ys
     slots = {name: f"s{i}" for i, name in enumerate(args)}
-    try:  # the binding and the reduction recurse as deeply as the source does
+    # the binding and the reduction recurse as deeply as the source does
+    with _too_deep("compile"):
         gs = model.g_bound(params)
         dens = [p_to_expr(canonicalize(g, args).den, args) for g in gs]
         # a constant canonical denominator is a nonzero integer: never below 1e-10
         guards = [d for d in dens if not isinstance(d, Constant)]
         srcs = _emit(guards + [mul(-2, g) for g in gs], slots)
-    except RecursionError:
-        raise ExprError("expression nested too deeply to compile") from None
     guards, accel = srcs[:len(guards)], srcs[len(guards):]
 
     def vec(fmt: str) -> str:

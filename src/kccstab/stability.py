@@ -26,10 +26,10 @@ from .expr import (
     BudgetExceededError,
     CanonicalRational,
     Expr,
-    ExprError,
     ParameterBinder,
     Poly,
     _checked,
+    _too_deep,
     canonicalize,
     char_poly,
     det,
@@ -62,40 +62,20 @@ INDETERMINATE = "Indeterminate"
 # Hurwitz determinants (generic ring elements)
 
 
-def _one_like(v):
-    if isinstance(v, CanonicalRational):
-        return CanonicalRational.const(1, v.vars)
-    if isinstance(v, Fraction):
-        return Fraction(1)
-    return 1.0
-
-
-def _zero_like(v):
-    if isinstance(v, CanonicalRational):
-        return CanonicalRational.zero(v.vars)
-    if isinstance(v, Fraction):
-        return Fraction(0)
-    return 0.0
-
-
 def hurwitz_matrix(coeffs: Sequence) -> list[list]:
-    """The n x n Hurwitz matrix H[i][j] = a_{2j-i} (1-indexed), a_0 = 1."""
-    n = len(coeffs)
-    one = _one_like(coeffs[0])
-    zero = _zero_like(coeffs[0])
-
-    def a(k: int):
-        if k == 0:
-            return one
-        if 1 <= k <= n:
-            return coeffs[k - 1]
-        return zero
-
-    return [[a(2 * j - i) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    """The n x n Hurwitz matrix H[i][j] = a_{2j-i} (1-indexed) of
+    coeffs = [a_0, a_1, ..., a_n], with a_0 - a_0 outside that range."""
+    n = len(coeffs) - 1
+    zero = coeffs[0] - coeffs[0]
+    return [
+        [coeffs[k] if 0 <= (k := 2 * j - i) <= n else zero for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
 
 
 def hurwitz_determinants(coeffs: Sequence, check=None) -> list:
-    """Leading principal minors [Delta_1..Delta_n] of the Hurwitz matrix.
+    """Leading principal minors [Delta_1..Delta_n] of the Hurwitz matrix of
+    coeffs = [a_0, a_1, ..., a_n].
 
     Delta_1 = a_1, and Delta_n = a_n·Delta_{n-1} as a_n is the only nonzero
     entry in the last column (Gantmacher, Theory of Matrices II, ch. XV), so
@@ -105,7 +85,7 @@ def hurwitz_determinants(coeffs: Sequence, check=None) -> list:
     determinant k"; it aborts the computation by raising.
     """
     H = hurwitz_matrix(coeffs)
-    dets = [_checked(check, coeffs[0], "Hurwitz determinant 1")]
+    dets = [_checked(check, coeffs[1], "Hurwitz determinant 1")]
     for k in range(2, len(H) + 1):
         d = coeffs[-1] * dets[-1] if k == len(H) else det([row[:k] for row in H[:k]])
         dets.append(_checked(check, d, f"Hurwitz determinant {k}"))
@@ -333,7 +313,7 @@ def classify_matrices(
         normalized = Ps / scales[:, None, None]
     stack = np.concatenate([Ps, normalized])
     coeffs = char_poly([[stack[:, i, j] for j in range(n)] for i in range(n)])
-    hurwitz = hurwitz_determinants(coeffs)
+    hurwitz = hurwitz_determinants([1.0] + coeffs)
     raw_coeffs = per_point([c[:m] for c in coeffs])
     raw_hurwitz = per_point([h[:m] for h in hurwitz])
     decisions = per_point([c[m:] for c in [coeffs[-1]] + hurwitz])
@@ -469,13 +449,11 @@ def assemble_semialgebraic(
     if not inequations:
         inequations.append(p_const(1, len(order)))
     zeros = {**values, **{y: 0 for y in model.ys}}
-    try:
+    with _too_deep("canonicalize"):
         P0 = [
             [canonicalize(substitute(e, zeros), order) for e in row]
             for row in model.compiled.invariants.P
         ]
-    except RecursionError:
-        raise ExprError("expression nested too deeply to canonicalize") from None
     for row in P0:
         for cr in row:
             check(cr, "canonicalizing deviation curvature")
@@ -499,7 +477,7 @@ def assemble_semialgebraic(
         Dk = p_mul(Dk, D)
         coeffs.append(ck / CanonicalRational(order, Dk, one))
         check(coeffs[-1], "characteristic polynomial")
-    dets = hurwitz_determinants(coeffs, check)
+    dets = hurwitz_determinants([CanonicalRational.const(1, order)] + coeffs, check)
 
     inequalities: list[Poly] = []
     a_n = coeffs[-1]

@@ -440,6 +440,19 @@ def test_simulate_checks_w_before_integrating(capsys, tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", *WS, "--x0", "2,1", "--t-end", "0.01"],
+    ["focusing", *WS, "--point", "2,1"],
+])
+def test_zero_w_is_a_usage_error(capsys, tmp_path, argv):
+    # the deviation starts at xi(0) = 0, so W = 0 leaves nothing to follow
+    outpath = tmp_path / "new"
+    rc, out, err = run(capsys, [*argv, "--w", "0,-0", "--out", str(outpath)])
+    assert rc == 1 and out == ""
+    assert err.startswith("kccstab: error: --w must be nonzero")
+    assert not outpath.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["deviation", *WS, "--point", "2"], "--point must have 2 components"),
     (["classify", *WS, "--point", "2,1,0"], "--point must have 2 components"),

@@ -56,3 +56,51 @@ def test_library_modules_use_every_name_they_import():
         if path.name != "__init__.py" and (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def recursion_handlers(source: str) -> list[str]:
+    """The innermost enclosing function of each `except` naming RecursionError."""
+    found = []
+
+    def visit(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type is not None and any(
+                isinstance(n, ast.Name) and n.id == "RecursionError" for n in ast.walk(child.type)
+            ):
+                found.append(scope)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_recursion_handlers_are_found():
+    source = (
+        "def f():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except (SyntaxError, RecursionError):\n"
+        "        pass\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        try:\n"
+        "            pass\n"
+        "        except ValueError:\n"
+        "            pass\n"
+        "        except RecursionError:\n"
+        "            pass\n"
+    )
+    assert recursion_handlers(source) == ["f", "g"]
+
+
+def test_tree_walks_share_one_nesting_guard():
+    # a tree walk nested too deeply becomes an ExprError through
+    # `expr._too_deep`; `parse` reports the position, `exec_generated` also
+    # catches the compiler's SyntaxError, and `cli.main` is the last resort
+    found = sorted(
+        (path.stem, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in recursion_handlers(path.read_text(encoding="utf-8"))
+    )
+    assert found == [("cli", "main"), ("expr", "_too_deep"), ("expr", "exec_generated"), ("expr", "parse")]

@@ -117,7 +117,7 @@ def test_char_poly_floats_match_numpy():
 
 def test_hurwitz_matrix_layout():
     a1, a2, a3 = Fraction(2), Fraction(3), Fraction(4)
-    H = hurwitz_matrix([a1, a2, a3])
+    H = hurwitz_matrix([1, a1, a2, a3])
     # H[i][j] = a_{2j - i} with 1-based indices, a_0 = 1, zero outside range
     expect = [
         [a1, a3, 0],
@@ -131,9 +131,9 @@ def test_hurwitz_matrix_layout():
 
 def test_hurwitz_determinants_closed_forms():
     a1, a2 = Fraction(3), Fraction(5)
-    assert hurwitz_determinants([a1, a2]) == [a1, a1 * a2]
+    assert hurwitz_determinants([1, a1, a2]) == [a1, a1 * a2]
     a1, a2, a3 = Fraction(2), Fraction(7), Fraction(3)
-    assert hurwitz_determinants([a1, a2, a3]) == [
+    assert hurwitz_determinants([1, a1, a2, a3]) == [
         a1,
         a1 * a2 - a3,
         a3 * (a1 * a2 - a3),
@@ -160,15 +160,15 @@ def test_check_hook_sees_intermediate_products():
     with pytest.raises(BudgetExceededError, match="characteristic polynomial"):
         char_poly(A, budget_check(budget))
     with pytest.raises(BudgetExceededError, match="Hurwitz determinant 1"):
-        hurwitz_determinants(coeffs, budget_check(0))
+        hurwitz_determinants([CanonicalRational.const(1, vars)] + coeffs, budget_check(0))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.fractions(-5, 5, max_denominator=9), min_size=1, max_size=5))
 def test_hurwitz_determinants_are_the_leading_minors(coeffs):
     # Delta_1 = a_1 and Delta_n = a_n Delta_{n-1} replace two expansions
-    H = hurwitz_matrix(coeffs)
-    assert hurwitz_determinants(coeffs) == [
+    H = hurwitz_matrix([1] + coeffs)
+    assert hurwitz_determinants([1] + coeffs) == [
         det([row[:k] for row in H[:k]]) for k in range(1, len(coeffs) + 1)
     ]
 
@@ -176,7 +176,7 @@ def test_hurwitz_determinants_are_the_leading_minors(coeffs):
 @pytest.mark.parametrize("name", ["wound_strings", "airfoil", "tractor_seat"])
 def test_last_symbolic_minor_is_the_full_determinant(name):
     sa = assemble_semialgebraic(builtin(name))
-    assert sa.hurwitz_dets[-1] == det(hurwitz_matrix(sa.char_coeffs))
+    assert sa.hurwitz_dets[-1] == det(hurwitz_matrix([CanonicalRational.const(1, sa.vars)] + sa.char_coeffs))
 
 
 _POLY_FORMS = ("{a}", "{a}*{s}", "{s} + {a}", "{a}*{s}*{t} - {b}")
@@ -373,14 +373,14 @@ def test_stacked_classification_matches_python_floats():
             rows = P.tolist()
             coeffs = char_poly(rows)
             assert _hexes(rep.char_coeffs) == _hexes(coeffs)
-            assert _hexes(rep.hurwitz) == _hexes(hurwitz_determinants(coeffs))
+            assert _hexes(rep.hurwitz) == _hexes(hurwitz_determinants([1.0] + coeffs))
             scale = max(abs(v) for row in rows for v in row)
             assert rep.scale == scale
             if scale == 0.0:
                 assert rep.decision_values == (0.0,) * (n + 1)
                 continue
             normalized = char_poly([[v / scale for v in row] for row in rows])
-            decision = [normalized[-1]] + hurwitz_determinants(normalized)
+            decision = [normalized[-1]] + hurwitz_determinants([1.0] + normalized)
             assert _hexes(rep.decision_values) == _hexes(decision)
 
 
@@ -687,6 +687,12 @@ def test_model_derives_and_compiles_once(monkeypatch):
     # fixed-point numerators with their 2 x 2 Jacobian, the denominators,
     # then the 2 x 2 curvature P; nothing is compiled per parameter point
     assert compiled == [6, 2, 4]
+    # the higher invariants and the deviation blocks are derived once too
+    inv = af.compiled.invariants
+    for name in ("torsion", "riemann", "douglas"):
+        assert getattr(inv, name) is getattr(inv, name)
+    assert af.compiled.deviation_blocks is af.compiled.deviation_blocks
+    assert built == [af]
 
 
 # ---------------------------------------------------------------------------
@@ -1094,12 +1100,12 @@ def _deep_model(depth=600):
 
 
 def test_deep_model_search_is_an_expr_error():
-    with pytest.raises(ExprError, match="nested too deeply"):
+    with pytest.raises(ExprError, match="nested too deeply to canonicalize"):
         classify_all(_deep_model(), box=(-1, 1), seeds=3)
 
 
 def test_deep_model_conditions_are_an_expr_error():
-    with pytest.raises(ExprError, match="nested too deeply"):
+    with pytest.raises(ExprError, match="nested too deeply to canonicalize"):
         assemble_semialgebraic(_deep_model())
 
 
