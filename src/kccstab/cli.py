@@ -106,16 +106,20 @@ def _parse_params(text: str | None) -> dict[str, Fraction]:
             continue
         if "=" not in item:
             raise UsageError(f"bad --params entry {item!r}: expected name=value")
-        name, _, val = item.partition("=")
+        name, _, val = (part.strip() for part in item.partition("="))
+        if not name:
+            raise UsageError(f"bad --params entry {item!r}: empty name")
+        if name in out:
+            raise UsageError(f"--params names {name!r} twice")
         try:
-            value = parse_rational(val.strip())
+            value = parse_rational(val)
             to_float(value)
         except (ValueError, ModelError, ExprError):
             raise UsageError(
-                f"bad --params value {val!r} for {name.strip()!r}: "
+                f"bad --params value {val!r} for {name!r}: "
                 "expected a rational within the float range"
             )
-        out[name.strip()] = value
+        out[name] = value
     return out
 
 
@@ -127,7 +131,8 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_box(text: str | None):
+def _parse_box(text: str | None, n: int):
+    """`--box`: one lo:hi for every axis, or n of them, each with lo < hi."""
     if not text:
         return None
     axes = []
@@ -139,6 +144,10 @@ def _parse_box(text: str | None):
             axes.append((_finite(lo), _finite(hi)))
         except ValueError:
             raise UsageError(f"bad --box segment {seg!r}: expected finite numbers")
+        if not axes[-1][0] < axes[-1][1]:
+            raise UsageError(f"bad --box segment {seg!r}: expected lo < hi")
+    if len(axes) not in (1, n):
+        raise UsageError(f"--box has {len(axes)} axes, expected {n} (or one for all)")
     return axes[0] if len(axes) == 1 else axes
 
 
@@ -259,7 +268,7 @@ def cmd_fixed_points(args) -> int:
     model = _load_model(args.model)
     params = _parse_params(args.params)
     fps = find_fixed_points(
-        model, params, box=_parse_box(args.box), seeds=_check_seeds(args.seeds)
+        model, params, box=_parse_box(args.box, model.n), seeds=_check_seeds(args.seeds)
     )
     lines = [f"{len(fps)} fixed point(s) found"]
     rows = [["#"] + list(model.xs) + ["residual", "denom_margin"]]
@@ -288,15 +297,18 @@ def cmd_fixed_points(args) -> int:
     return EXIT_OK
 
 
-def _region_line(model, params):
-    """Airfoil parameter-region report when exact parameters are available."""
-    if model.name != "airfoil":
+def _region_line(args, params):
+    """Airfoil parameter-region report when exact parameters are available.
+
+    Only for the built-in airfoil: `_load_model` resolves built-in names
+    first, so a model file is never taken for it, whatever its name.
+    """
+    if args.model != "airfoil":
         return None
     try:
-        rep = airfoil_region_conditions(params["Minf"], params["V"])
+        return airfoil_region_conditions(params["Minf"], params["V"])
     except (KeyError, TypeError, ValueError):
         return None
-    return rep
 
 
 def cmd_classify(args) -> int:
@@ -306,6 +318,7 @@ def cmd_classify(args) -> int:
     tol = args.tol
     if not 0 <= tol < math.inf:  # also rejects nan
         raise UsageError(f"--tol must be finite and not negative, got {tol}")
+    box = _parse_box(args.box, model.n)
     lines = []
     rows = [["#"] + list(model.xs) + ["verdict"]]
     entries = []
@@ -314,9 +327,7 @@ def cmd_classify(args) -> int:
         reports = [Classifier(model, params).classify(point, tol)]
         lines.append("classifying 1 supplied point")
     else:
-        pairs = classify_all(
-            model, params, box=_parse_box(args.box), seeds=seeds, tol=tol
-        )
+        pairs = classify_all(model, params, box=box, seeds=seeds, tol=tol)
         reports = [rep for _, rep in pairs]
         lines.append(f"{len(reports)} fixed point(s) found")
     stable = 0
@@ -338,7 +349,7 @@ def cmd_classify(args) -> int:
         "reports": entries,
         "stable_count": stable,
     }
-    region = _region_line(model, params)
+    region = _region_line(args, params)
     if region is not None:
         lines.append(
             f"parameter region: {region.label}"
@@ -443,13 +454,14 @@ def cmd_focusing(args) -> int:
 
 def cmd_region(args) -> int:
     model = _load_model(args.model)
-    if model.name != "airfoil":
+    if args.model != "airfoil":  # the built-in, as in _region_line
         raise ModelError("region reports are defined for the airfoil model only")
     params = _parse_params(args.params)
     try:
         minf, v = params["Minf"], params["V"]
     except KeyError as e:
         raise UsageError(f"--params must supply {e.args[0]}")
+    model.binding(params)  # an unknown name is a model error, as elsewhere
     rep = airfoil_region_conditions(minf, v)
     lines = [
         f"region: {rep.label}" + (" (boundary)" if rep.boundary else ""),
@@ -570,6 +582,10 @@ def main(argv=None) -> int:
     except RecursionError:
         # the symbolic layers walk expression trees recursively
         print("kccstab: model error: expression nested too deeply", file=sys.stderr)
+        return EXIT_MODEL
+    except MemoryError:
+        # as a buffer for --t-end/--dt steps that the host cannot hold
+        print("kccstab: model error: out of memory", file=sys.stderr)
         return EXIT_MODEL
 
 

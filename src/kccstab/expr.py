@@ -442,6 +442,7 @@ def _negated_term(t: Expr) -> Expr | None:
 # parsing
 
 _TOKEN_OPS = "+-*/^()"
+_DIGITS = "0123456789"  # str.isdigit would also take '²' and '٣'
 
 
 class _Token:
@@ -470,15 +471,15 @@ def _tokenize(src: str) -> list[_Token]:
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             if j < n and src[j] == ".":
                 j += 1
-                if j >= n or not src[j].isdigit():
+                if j >= n or src[j] not in _DIGITS:
                     raise ParseError("malformed number", line, start_col, ("digit",))
-                while j < n and src[j].isdigit():
+                while j < n and src[j] in _DIGITS:
                     j += 1
             toks.append(_Token("num", src[i:j], line, start_col))
             col += j - i

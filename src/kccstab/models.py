@@ -109,36 +109,28 @@ f[3] = -C3*(y3 - y2) - K3*(x3 - x2)
 """
 
 
+# name -> (positions, G sources, parameters, parameter defaults)
+_BUILTINS = {
+    "wound_strings": (("x1", "x2"), _WS_G, ("a", "C", "m"), {}),
+    "airfoil": (("x1", "x2"), _AIRFOIL_G, ("Minf", "V"), {}),
+    "tractor_seat": (
+        ("x1", "x2", "x3"),
+        _TRACTOR_G,
+        ("M1", "M2", "M3", "K1", "K2", "K3", "C1", "C2", "C3"),
+        _TRACTOR_DEFAULTS,
+    ),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin(name: str) -> Model:
     """Construct a built-in model by name (fresh instance each call)."""
-    if name == "wound_strings":
-        return Model(
-            "wound_strings",
-            ("x1", "x2"),
-            [parse(s) for s in _WS_G],
-            params=("a", "C", "m"),
+    if name not in BUILTIN_NAMES:
+        raise ModelError(
+            f"unknown built-in model '{name}' (available: {', '.join(BUILTIN_NAMES)})"
         )
-    if name == "airfoil":
-        return Model(
-            "airfoil",
-            ("x1", "x2"),
-            [parse(s) for s in _AIRFOIL_G],
-            params=("Minf", "V"),
-        )
-    if name == "tractor_seat":
-        return Model(
-            "tractor_seat",
-            ("x1", "x2", "x3"),
-            [parse(s) for s in _TRACTOR_G],
-            params=("M1", "M2", "M3", "K1", "K2", "K3", "C1", "C2", "C3"),
-            defaults=_TRACTOR_DEFAULTS,
-        )
-    raise ModelError(
-        f"unknown built-in model '{name}' (available: {', '.join(BUILTIN_NAMES)})"
-    )
-
-
-BUILTIN_NAMES = ("wound_strings", "airfoil", "tractor_seat")
+    xs, sources, params, defaults = _BUILTINS[name]
+    return Model(name, xs, [parse(s) for s in sources], params=params, defaults=defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +154,23 @@ def _err(lineno: int, msg: str) -> ModelError:
     return ModelError(f"line {lineno}: {msg}")
 
 
+# mode -> (the assignment kinds it reads, the error for any other kind)
+_MODES = {
+    "kcc": (("G",), "M[i][j]/f[i] lines are only valid in linear-accel mode"),
+    "linear-accel": (("M", "f"), "G<i> lines are only valid in kcc mode"),
+}
+_KEY = {"G": "G{}", "M": "M[{}][{}]", "f": "f[{}]"}
+
+
 def loads(text: str, *, source: str = "<string>") -> Model:
     """Parse model file text into a Model."""
     name: str | None = None
-    mode = "kcc"
-    mode_set = False
+    mode: str | None = None
     params: list[str] = []
     defaults: dict[str, Fraction] = {}
     xs: list[str] | None = None
-    g_lines: dict[int, tuple[Expr, int]] = {}
-    m_lines: dict[tuple[int, int], Expr] = {}
-    f_lines: dict[int, Expr] = {}
-
-    def parse_rhs(rhs: str, lineno: int, col0: int) -> Expr:
-        try:
-            return parse(rhs)
-        except ParseError as exc:
-            raise ModelError(
-                f"{source}:{lineno}:{exc.col + col0}: {exc}"
-            ) from exc
+    # canonical name (G1, M[1][2], f[3]) -> (kind, indices, expression)
+    assigns: dict[str, tuple[str, tuple[int, ...], Expr]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -191,23 +181,18 @@ def loads(text: str, *, source: str = "<string>") -> Model:
             rhs = m.group("rhs")
             if not rhs.strip():
                 raise _err(lineno, "missing expression after '='")
-            col0 = line.index("=") + 1
-            e = parse_rhs(rhs, lineno, col0)
-            if m.group("gi"):
-                i = int(m.group("gi"))
-                if i in g_lines:
-                    raise _err(lineno, f"duplicate G{i}")
-                g_lines[i] = (e, lineno)
-            elif m.group("fi"):
-                i = int(m.group("fi"))
-                if i in f_lines:
-                    raise _err(lineno, f"duplicate f[{i}]")
-                f_lines[i] = e
-            else:
-                i, j = int(m.group("mi")), int(m.group("mj"))
-                if (i, j) in m_lines:
-                    raise _err(lineno, f"duplicate M[{i}][{j}]")
-                m_lines[(i, j)] = e
+            try:
+                e = parse(rhs)
+            except ParseError as exc:
+                col = exc.col + line.index("=") + 1
+                raise ModelError(f"{source}:{lineno}:{col}: {exc}") from exc
+            gi, mi, mj, fi = m.group("gi", "mi", "mj", "fi")
+            kind, idx = ("G", (gi,)) if gi else ("f", (fi,)) if fi else ("M", (mi, mj))
+            idx = tuple(int(i) for i in idx)
+            key = _KEY[kind].format(*idx)
+            if key in assigns:
+                raise _err(lineno, f"duplicate {key}")
+            assigns[key] = (kind, idx, e)
             continue
         tokens = line.split()
         head, rest = tokens[0], tokens[1:]
@@ -218,12 +203,11 @@ def loads(text: str, *, source: str = "<string>") -> Model:
                 raise _err(lineno, "'model' takes exactly one name")
             name = rest[0]
         elif head == "mode":
-            if mode_set:
+            if mode is not None:
                 raise _err(lineno, "duplicate 'mode' line")
-            if len(rest) != 1 or rest[0] not in ("kcc", "linear-accel"):
+            if len(rest) != 1 or rest[0] not in _MODES:
                 raise _err(lineno, "mode must be 'kcc' or 'linear-accel'")
             mode = rest[0]
-            mode_set = True
         elif head == "params":
             for tok in rest:
                 pname, _, val = tok.partition("=")
@@ -254,40 +238,25 @@ def loads(text: str, *, source: str = "<string>") -> Model:
     if xs is None:
         raise ModelError(f"{source}: missing 'vars' line")
     n = len(xs)
-
-    if mode == "kcc":
-        if m_lines or f_lines:
-            raise ModelError(
-                f"{source}: M[i][j]/f[i] lines are only valid in linear-accel mode"
-            )
-        for i in g_lines:
-            if not 1 <= i <= n:
-                raise ModelError(f"{source}: G{i} out of range for {n} variables")
-        missing = [i for i in range(1, n + 1) if i not in g_lines]
-        if missing:
-            raise ModelError(f"{source}: missing G{missing[0]}")
-        G = [g_lines[i][0] for i in range(1, n + 1)]
-        try:
-            return Model(name, xs, G, params=params, defaults=defaults)
-        except ModelError as exc:
-            raise ModelError(f"{source}: {exc}") from exc
-
-    # linear-accel
-    if g_lines:
-        raise ModelError(f"{source}: G<i> lines are only valid in kcc mode")
-    for (i, j) in m_lines:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ModelError(f"{source}: M[{i}][{j}] out of range for {n} variables")
-    for i in f_lines:
-        if not 1 <= i <= n:
-            raise ModelError(f"{source}: f[{i}] out of range for {n} variables")
-    zero = parse("0")
-    M = [[m_lines.get((i, j), zero) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    f = [f_lines.get(i, zero) for i in range(1, n + 1)]
+    kinds, wrong_kind = _MODES[mode or "kcc"]
+    if any(kind not in kinds for kind, _, _ in assigns.values()):
+        raise ModelError(f"{source}: {wrong_kind}")
+    # each kind in file order, M before f
+    for key, (kind, idx, _) in sorted(assigns.items(), key=lambda item: item[1][0]):
+        if not all(1 <= i <= n for i in idx):
+            raise ModelError(f"{source}: {key} out of range for {n} variables")
+    exprs = {key: e for key, (_, _, e) in assigns.items()}
+    rng = range(1, n + 1)
     try:
-        return to_standard_form(
-            M, f, name=name, xs=xs, params=params, defaults=defaults
-        )
+        if mode == "linear-accel":
+            zero = parse("0")
+            M = [[exprs.get(f"M[{i}][{j}]", zero) for j in rng] for i in rng]
+            f = [exprs.get(f"f[{i}]", zero) for i in rng]
+            return to_standard_form(M, f, name=name, xs=xs, params=params, defaults=defaults)
+        missing = [i for i in rng if f"G{i}" not in exprs]
+        if missing:
+            raise ModelError(f"missing G{missing[0]}")
+        return Model(name, xs, [exprs[f"G{i}"] for i in rng], params=params, defaults=defaults)
     except ModelError as exc:
         raise ModelError(f"{source}: {exc}") from exc
 
@@ -303,13 +272,9 @@ def dumps(model: Model) -> str:
     """Render a Model as model-file text (kcc mode); loads(dumps(m)) round-trips."""
     lines = [f"model {model.name}", "mode kcc"]
     if model.params:
-        toks = []
-        for p in model.params:
-            if p in model.defaults:
-                toks.append(f"{p}={model.defaults[p]}")
-            else:
-                toks.append(p)
-        lines.append("params " + " ".join(toks))
+        defaults = model.defaults
+        lines.append("params " + " ".join(f"{p}={defaults[p]}" if p in defaults else p
+                                          for p in model.params))
     lines.append("vars " + " ".join(model.xs))
     for i, g in enumerate(model.G, start=1):
         lines.append(f"G{i} = {g}")

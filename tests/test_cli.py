@@ -309,6 +309,32 @@ def test_region_requires_airfoil(capsys):
     assert "airfoil" in err
 
 
+def test_region_report_is_for_the_builtin_airfoil_only(capsys, tmp_path):
+    # a model file that takes the built-in's name and parameters is not it
+    path = tmp_path / "impostor.kcc"
+    path.write_text("model airfoil\nparams Minf V\nvars x1 x2\nG1 = x1 + y1\nG2 = x2 + y2\n")
+    argv = ["--model", str(path), AIRFOIL_1[2], AIRFOIL_1[3]]
+    rc, out, err = run(capsys, ["classify", *argv, "--box", "-1:1"])
+    assert (rc, err) == (0, "")
+    assert "stable count: k = 1" in out and "parameter region" not in out
+    rc, out, err = run(capsys, ["region", *argv])
+    assert (rc, out) == (2, "")
+    assert_one_line_error(err, "defined for the airfoil model only")
+
+
+@pytest.mark.parametrize("command", [["region"], ["classify", "--point", "0,0"]])
+@pytest.mark.parametrize("params, code, message", [
+    ("Minf=1,Minf=2017/256,V=83/4", 1, "--params names 'Minf' twice"),
+    ("=3,Minf=2017/256,V=83/4", 1, "bad --params entry '=3': empty name"),
+    (" = 3,Minf=2017/256,V=83/4", 1, "empty name"),
+    ("Minf=2017/256,V=83/4,Q=5", 2, "unknown parameter 'Q' for model 'airfoil'"),
+], ids=["repeated", "empty", "blank", "unknown"])
+def test_params_names_are_checked(capsys, command, params, code, message):
+    rc, out, err = run(capsys, [*command, "--model", "airfoil", "--params", params])
+    assert (rc, out) == (code, "")
+    assert_one_line_error(err, message)
+
+
 # ---------------------------------------------------------------------------
 # numerical subcommands
 
@@ -528,6 +554,9 @@ def test_focusing_verdicts(capsys, tmp_path):
     ["fixed-points", *AIRFOIL_1, "--box=-inf:inf"],
     ["conditions", *WS, "--budget", "0"],
     ["conditions", *WS, "--budget", "-1"],
+    ["fixed-points", *AIRFOIL_1, "--box", "-1:1,-1:1,-1:1"],
+    ["classify", *AIRFOIL_1, "--box", "-1:1,1:-1"],
+    ["classify", *AIRFOIL_1, "--point", "0,0", "--box", "2:2"],
 ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
 def test_non_finite_or_out_of_range_flags_are_usage_errors(capsys, tmp_path, argv):
     # each is checked before any work: nothing is allocated or written
@@ -709,6 +738,26 @@ def test_edited_model_files_keep_the_exit_code_contract(case):
             assert "Traceback" not in err.getvalue()
             assert rc != 1 or not out.exists()
             out.unlink(missing_ok=True)
+
+
+def test_out_of_memory_is_a_model_error(capsys, tmp_path):
+    # 1e18 steps are within sys.maxsize, but their buffer's byte count is
+    # not, so the array is refused before anything is allocated
+    out = tmp_path / "out"
+    rc, stdout, err = run(capsys, ["simulate", *WS, "--x0", "2,1", "--t-end", "1e15",
+                                   "--dt", "1e-3", "--out", str(out)])
+    assert (rc, stdout) == (2, "")
+    assert_one_line_error(err, "kccstab: model error: out of memory")
+    assert not out.exists()
+
+
+def test_non_ascii_digit_in_model_file_reports_position(capsys, tmp_path):
+    bad = tmp_path / "u.kcc"
+    bad.write_text("model u\nvars x1\nG1 = x1 + \u00b2\n")
+    rc, _, err = run(capsys, ["invariants", "--model", str(bad)])
+    assert rc == 2
+    assert_one_line_error(err, "unexpected character '\u00b2'")
+    assert "u.kcc:3:" in err
 
 
 def test_bad_model_file_reports_position(capsys, tmp_path):

@@ -84,6 +84,14 @@ def test_parse_error_positions():
     assert ei.value.col == 3
 
 
+def test_non_ascii_digits_are_parse_errors():
+    # str.isdigit takes '²' and '٣' (Arabic-Indic three); a number is ASCII
+    for text, col in (("x + ²", 5), ("x^²", 3), ("٣*x", 1)):
+        with pytest.raises(ParseError, match="unexpected character") as ei:
+            parse(text)
+        assert (ei.value.line, ei.value.col) == (1, col)
+
+
 def test_fractional_exponent_rejected():
     with pytest.raises(ParseError):
         parse("x^2.5")

@@ -166,3 +166,16 @@ def test_parse_error_carries_position():
         loads("model d\nvars x1 $\nG1 = x1\n", source="bad")
     with pytest.raises(ModelError, match=r"bad:3:"):
         loads("model d\nvars x1\nG1 = x1 +\n", source="bad")
+
+
+def test_mode_mismatch_wins_over_ranges():
+    # the G line wins over the out-of-range f[2] listed before it
+    text = "model d\nmode linear-accel\nvars x1\nM[1][1] = 1\nf[2] = x1\nG1 = x1\n"
+    with pytest.raises(ModelError, match=r"^bad: G<i> lines are only valid in kcc mode$"):
+        loads(text, source="bad")
+
+
+def test_mass_ranges_are_checked_before_force_ranges():
+    text = "model d\nmode linear-accel\nvars x1\nf[2] = x1\nM[1][3] = 1\n"
+    with pytest.raises(ModelError, match=r"^bad: M\[1\]\[3\] out of range for 1 variables$"):
+        loads(text, source="bad")

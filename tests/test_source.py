@@ -1,7 +1,10 @@
 """Checks on the library's source text."""
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kccstab"
 
@@ -104,3 +107,20 @@ def test_tree_walks_share_one_nesting_guard():
         for name in recursion_handlers(path.read_text(encoding="utf-8"))
     )
     assert found == [("cli", "main"), ("expr", "_too_deep"), ("expr", "exec_generated"), ("expr", "parse")]
+
+
+def test_test_extra_lists_every_optional_test_import():
+    # CI installs ".[test]" only, so an oracle missing here is skipped there
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+    root = SRC.parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        extra = tomllib.load(f)["project"]["optional-dependencies"]["test"]
+    listed = {re.match(r"[\w-]+", requirement).group() for requirement in extra}
+    targets = set()
+    for path in (root / "tests").glob("*.py"):
+        found = re.findall(r'importorskip\("([\w.]+)"', path.read_text(encoding="utf-8"))
+        targets |= {target.split(".")[0] for target in found}
+    assert {"sympy", "scipy", "tomli"} <= targets <= listed
