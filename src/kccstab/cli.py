@@ -28,7 +28,7 @@ import numpy as np
 
 from .expr import ExprError, to_float
 from .kcc import ModelError, invariants, kcc_deviation
-from .models import BUILTIN_NAMES, builtin, load, parse_rational
+from .models import BUILTIN_NAMES, ascii_number, builtin, load, parse_rational
 from .numerics import (
     DEFAULT_PROBE_SAMPLES,
     DEFAULT_PROBE_WINDOW,
@@ -123,9 +123,18 @@ def _parse_params(text: str | None) -> dict[str, Fraction]:
     return out
 
 
+def _ascii(convert):
+    """A flag type: `convert` (int or float) of ASCII text only, under its
+    name, so that argparse reports '٣' as it reports 'x'."""
+    def flag_type(text: str):
+        return convert(ascii_number(text))
+    flag_type.__name__ = convert.__name__
+    return flag_type
+
+
 def _finite(text: str) -> float:
     """The float a flag value spells; ValueError unless it is finite."""
-    value = float(text)
+    value = float(ascii_number(text))
     if not math.isfinite(value):
         raise ValueError(text)
     return value
@@ -515,20 +524,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-points", help="locate fixed points")
     _add_common(p, formats=ROW_FORMATS)
     p.add_argument("--box", default="", help="search box lo:hi[,lo:hi...]")
-    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS_PER_AXIS, help="seed points per axis (at least 3)")
+    p.add_argument("--seeds", type=_ascii(int), default=DEFAULT_SEEDS_PER_AXIS, help="seed points per axis (at least 3)")
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("classify", help="classify fixed points")
     _add_common(p, formats=ROW_FORMATS)
     p.add_argument("--box", default="", help="search box lo:hi[,lo:hi...]")
-    p.add_argument("--seeds", type=int, default=DEFAULT_SEEDS_PER_AXIS, help="seed points per axis (at least 3)")
+    p.add_argument("--seeds", type=_ascii(int), default=DEFAULT_SEEDS_PER_AXIS, help="seed points per axis (at least 3)")
     p.add_argument("--point", default="", help="classify this point only")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="decision tolerance")
+    p.add_argument("--tol", type=_ascii(float), default=DEFAULT_TOL, help="decision tolerance")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("conditions", help="print semialgebraic stability conditions")
     _add_common(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_MONOMIAL_BUDGET, help="monomial budget for assembly")
+    p.add_argument("--budget", type=_ascii(int), default=DEFAULT_MONOMIAL_BUDGET, help="monomial budget for assembly")
     p.set_defaults(func=cmd_conditions)
 
     p = sub.add_parser("simulate", help="integrate trajectories, write CSV files")
@@ -536,17 +545,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", required=True, help="initial position x1,...,xn")
     p.add_argument("--y0", default="", help="initial velocity (default zeros)")
     p.add_argument("--w", default="", help="deviation direction for xi'(0)")
-    p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--t-probe", type=float, default=DEFAULT_PROBE_WINDOW, dest="t_probe")
+    p.add_argument("--t-end", type=_ascii(float), default=10.0, dest="t_end")
+    p.add_argument("--dt", type=_ascii(float), default=1e-3)
+    p.add_argument("--t-probe", type=_ascii(float), default=DEFAULT_PROBE_WINDOW, dest="t_probe")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("focusing", help="focusing verdict at a fixed point")
     _add_common(p, formats=ROW_FORMATS)
     p.add_argument("--point", required=True, help="fixed point x1,...,xn")
     p.add_argument("--w", default="", help="deviation direction (default dominant)")
-    p.add_argument("--t-probe", type=float, default=DEFAULT_PROBE_WINDOW, dest="t_probe")
-    p.add_argument("--samples", type=int, default=DEFAULT_PROBE_SAMPLES)
+    p.add_argument("--t-probe", type=_ascii(float), default=DEFAULT_PROBE_WINDOW, dest="t_probe")
+    p.add_argument("--samples", type=_ascii(int), default=DEFAULT_PROBE_SAMPLES)
     p.add_argument(
         "--profile-out", default=None, dest="profile_out",
         help="also write the profile CSV here",

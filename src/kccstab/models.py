@@ -138,14 +138,22 @@ def builtin(name: str) -> Model:
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _ASSIGN_RE = re.compile(
-    r"^\s*(?:G(?P<gi>\d+)|M\[(?P<mi>\d+)\]\[(?P<mj>\d+)\]|f\[(?P<fi>\d+)\])\s*=\s*(?P<rhs>.*)$"
+    r"^\s*(?:G(?P<gi>[0-9]+)|M\[(?P<mi>[0-9]+)\]\[(?P<mj>[0-9]+)\]|f\[(?P<fi>[0-9]+)\])\s*=\s*(?P<rhs>.*)$"
 )
+
+
+def ascii_number(text: str) -> str:
+    """`text` if it is ASCII, else ValueError: int, float and Fraction also
+    read the digits of other scripts, such as '٣'."""
+    if not text.isascii():
+        raise ValueError(f"non-ASCII number {text!r}")
+    return text
 
 
 def parse_rational(text: str) -> Fraction:
     """Exact rational from `3`, `-83/4`, `0.25`, `1e-4` style literals."""
     try:
-        return Fraction(text)
+        return Fraction(ascii_number(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelError(f"invalid rational literal {text!r}") from exc
 
@@ -184,7 +192,7 @@ def loads(text: str, *, source: str = "<string>") -> Model:
             try:
                 e = parse(rhs)
             except ParseError as exc:
-                col = exc.col + line.index("=") + 1
+                col = exc.col + m.start("rhs")
                 raise ModelError(f"{source}:{lineno}:{col}: {exc}") from exc
             gi, mi, mj, fi = m.group("gi", "mi", "mj", "fi")
             kind, idx = ("G", (gi,)) if gi else ("f", (fi,)) if fi else ("M", (mi, mj))

@@ -118,10 +118,10 @@ def _rk4_kernel(model: Model, params) -> Callable[[list, float, float], Trace]:
     Python sources over the stage state `s0 .. s{2n-1}`, computing each
     distinct subexpression once per stage.  The stages follow the operation
     order of the vector form z + (h/2)·k1, z + h·k3, z + (h/6)·(k1 + 2k2 +
-    2k3 + k4), bit for bit.  Each stage checks the least guard magnitude
-    first; a non-finite state aborts.  Step 1 runs alone into a buffer holding
-    z0 in every row: if it maps z0 to itself byte for byte, so would every
-    later step (the models are autonomous), and the trace is complete.
+    2k3 + k4), bit for bit.  Each stage aborts on a guard in (-1e-10, 1e-10),
+    a nan guard being in none, and each step on an inf or nan state.  Step 1
+    runs alone into a buffer holding z0 in every row: if it maps z0 to itself
+    byte for byte, so would every later step (the models are autonomous).
     """
     n = model.n
     m = 2 * n
@@ -136,13 +136,15 @@ def _rk4_kernel(model: Model, params) -> Callable[[list, float, float], Trace]:
         srcs = _emit(guards + [mul(-2, g) for g in gs], slots)
     guards, accel = srcs[:len(guards)], srcs[len(guards):]
 
-    def vec(fmt: str) -> str:
-        return ", ".join(fmt.format(i) for i in range(m))
+    def vec(fmt: str) -> list[str]:
+        return [fmt.format(i) for i in range(m)]
 
-    # with a last 1.0, never below the floor, min() also takes a single guard
-    low = "".join(f"abs({g}), " for g in guards)
-    check = f"if min({low}1.0) < _FLOOR: raise IntegrationError(t, _BELOW)" if guards else ""
-    rhs = ", ".join([f"s{n + i}" for i in range(n)] + list(accel))
+    # all guards before any test; -F < g < F is abs(g) < F, false for a nan g
+    low = " or ".join(f"-{DENOMINATOR_FLOOR!r} < g{i} < {DENOMINATOR_FLOOR!r}" for i in range(len(guards)))
+    check = [f"g{i} = {g}" for i, g in enumerate(guards)]
+    if guards:
+        check.append(f"if {low}: raise IntegrationError(t, 'denominator below {DENOMINATOR_FLOOR:g}')")
+    rates = vec("s{0}")[n:] + accel
     body = []
     for k, state, time in (
         ("a", "z{0}", "t0"),
@@ -150,15 +152,13 @@ def _rk4_kernel(model: Model, params) -> Callable[[list, float, float], Trace]:
         ("c", "z{0} + h2 * b{0}", "t0 + h2"),
         ("d", "z{0} + dt * c{0}", "k * dt"),
     ):
-        body += [f"t = {time}", f"{vec('s{0}')} = {vec(state)}", check, f"{vec(k + '{0}')} = {rhs}"]
-    body.append(f"{vec('z{0}')} = {vec('z{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})')}")
-    ok = " and ".join(f"isfinite(z{i})" for i in range(m))
-    body.append(f"if not ({ok}): raise IntegrationError(t, 'state became non-finite')")
-    body += [f"j += {m}", *(f"out[j + {i}] = z{i}" for i in range(m))]
-    src = _RK4_SOURCE.format(z=vec("z{0}"), m=m, body="\n".join(" " * 12 + b for b in body if b))
-    ns = dict(isfinite=math.isfinite, IntegrationError=IntegrationError,
-              _FLOOR=DENOMINATOR_FLOOR, _BELOW=f"denominator below {DENOMINATOR_FLOOR:g}")
-    run = exec_generated(src, "_rk4", ns)
+        body += [f"t = {time}", *vec("s{0} = " + state), *check, *(f"{k}{i} = {r}" for i, r in enumerate(rates))]
+    body += vec("z{0} = z{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})")
+    # z - z is 0.0 for a finite z and nan for inf or nan: the sum is 0.0 exactly when all are finite
+    body.append(f"if {' + '.join(vec('(z{0} - z{0})'))} != 0.0: raise IntegrationError(t, 'state became non-finite')")
+    body += [f"j += {m}", *vec("out[j + {0}] = z{0}")]
+    src = _RK4_SOURCE.format(z=", ".join(vec("z{0}")), m=m, body="\n".join(" " * 12 + b for b in body))
+    run = exec_generated(src, "_rk4", dict(IntegrationError=IntegrationError))
 
     def trace(z0: list, t_end: float, dt: float) -> Trace:
         nsteps = step_count(t_end, dt)
@@ -187,10 +187,10 @@ def integrate(
 ) -> Trace:
     """Classical RK4 on (x' = y, y' = -2G) from initial (x0, y0).
 
-    Aborts with IntegrationError when any canonical G denominator falls
-    below 1e-10 in magnitude at an evaluation point, when an evaluation
-    divides by zero or overflows, or when the state becomes non-finite;
-    its `time` is that of the stage (the end of the step for the state).
+    Aborts with IntegrationError when any canonical G denominator is below
+    1e-10 in magnitude at an evaluation point (a nan one hides no other),
+    when an evaluation divides by zero or overflows, or when the state gets
+    an inf or nan; its `time` is that of the stage (for the state, the step's end).
     A start that one step maps to itself byte for byte is repeated.
     """
     z0 = _start(model.n, initial)

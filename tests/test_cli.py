@@ -757,7 +757,51 @@ def test_non_ascii_digit_in_model_file_reports_position(capsys, tmp_path):
     rc, _, err = run(capsys, ["invariants", "--model", str(bad)])
     assert rc == 2
     assert_one_line_error(err, "unexpected character '\u00b2'")
-    assert "u.kcc:3:" in err
+    assert "u.kcc:3:11:" in err  # '\u00b2' is the 11th character of its line
+
+
+NON_ASCII_FLAG_CASES = [
+    (["classify", *WS, "--seeds", "{}"], "@"),
+    (["fixed-points", *WS, "--seeds", "{}"], "@"),
+    (["classify", *WS, "--tol", "{}"], "@"),
+    (["conditions", "--model", "tractor_seat", "--budget", "{}"], "@"),
+    (["simulate", *WS, "--x0", "2,1", "--t-end", "{}"], "@"),
+    (["simulate", *WS, "--x0", "2,1", "--dt", "{}"], "@"),
+    (["simulate", *WS, "--x0", "2,1", "--t-probe", "{}"], "@"),
+    (["focusing", *WS, "--point", "2,1", "--samples", "{}"], "@"),
+    (["simulate", *WS, "--x0", "{},1"], "@"),
+    (["classify", "--model", "wound_strings", "--params", "a={}/2,C=1,m=-1"], "@"),
+    # a minus and a digit make a value, not a flag, for argparse
+    (["classify", *WS, "--box", "-{}:4"], "4@"),
+]
+
+
+@pytest.mark.parametrize("argv, non_number", NON_ASCII_FLAG_CASES,
+                         ids=[f"{argv[0]} {argv[-2]}" for argv, _ in NON_ASCII_FLAG_CASES])
+def test_non_ascii_digits_in_flags_are_usage_errors(capsys, tmp_path, argv, non_number):
+    # int, float and Fraction read '\u0663' (ARABIC-INDIC DIGIT THREE) as 3;
+    # the flags refuse it as they refuse an ASCII non-number
+    out = tmp_path / "out"
+    seen = []
+    for value in ("\u0663", non_number):
+        rc, stdout, err = run(capsys, [a.replace("{}", value) for a in argv] + ["--out", str(out)])
+        seen.append((rc, stdout, err.replace(value, "<v>")))
+        assert not out.exists()
+    assert seen[0] == seen[1] and seen[0][0] == 1
+
+
+@pytest.mark.parametrize("text", [
+    "model u\nvars x1\nG{} = x1\n",
+    "model u\nparams k={}\nvars x1\nG1 = k*x1\n",
+], ids=["index", "default"])
+def test_non_ascii_digits_in_model_files_are_model_errors(capsys, tmp_path, text):
+    seen = []
+    for value in ("\u0661", "@"):  # ARABIC-INDIC DIGIT ONE, and a non-number
+        path = tmp_path / "u.kcc"
+        path.write_text(text.replace("{}", value), encoding="utf-8")
+        rc, stdout, err = run(capsys, ["classify", "--model", str(path), "--point", "0"])
+        seen.append((rc, stdout, err.replace(value, "<v>")))
+    assert seen[0] == seen[1] and seen[0][0] == 2
 
 
 def test_bad_model_file_reports_position(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Integration, matrix exponentials, focusing profiles, CSV export."""
 
+import ast
 import contextlib
 import csv
 import hashlib
@@ -202,7 +203,7 @@ def numpy_integrate(model, params, initial, t_end, dt):
     n = model.n
 
     def rhs(t, z):
-        if min(abs(d) for d in den_fn(*z)) < DENOMINATOR_FLOOR:
+        if any(abs(d) < DENOMINATOR_FLOOR for d in den_fn(*z)):
             raise IntegrationError(t, "denominator below 1e-10")
         return np.concatenate([z[n:], accel(*z)])
 
@@ -363,6 +364,59 @@ def test_kernel_aborts_at_the_reference_times():
     # x'' = 10^6 x: the state overflows near t = 0.7
     blowup = Model("blowup", ("x1",), (parse("-500000*x1"),))
     assert_same_abort(blowup, None, ([1.0], [0.0]), 2.0, 1e-3)
+
+
+def test_kernel_aborts_when_the_state_becomes_nan():
+    # x1 moves at 1e8 per unit time and x2 = x3 = 1 stay, so G3 is 0 until
+    # x1 passes 1.8e8 near t = 1.7: there both products of G3 overflow, and
+    # inf - inf makes y3 nan while x1 is still finite
+    cancel = Model("cancel", ("x1", "x2", "x3"),
+                   (parse("0"), parse("0"), parse("10^300*x1*x2 - 10^300*x1*x3")))
+    assert_same_abort(cancel, None, ([1e7, 1.0, 1.0], [1e8, 0.0, 0.0]), 3.0, 1e-2)
+
+
+def test_nan_guard_does_not_hide_a_later_guard_below_the_floor():
+    # the first denominator x1*x2 - x1*x3 is inf - inf, nan, at the start,
+    # and the second, x4 = 1e-11, is below 1e-10; products, not powers, as
+    # a float power raises OverflowError where a product gives inf
+    quotients = Model("quotients", ("x1", "x2", "x3", "x4"),
+                      (parse("1/(x1*x2 - x1*x3)"), parse("0"), parse("0"), parse("1/x4")))
+    start = ([1e200, 1e200, 5e199, 1e-11], [0.0] * 4)
+    with pytest.raises(IntegrationError) as ei:
+        integrate(quotients, None, start, 1.0, 1e-2)
+    assert ei.value.time == 0.0
+    assert str(ei.value) == "integration aborted at t = 0: denominator below 1e-10"
+    assert_same_abort(quotients, None, start, 1.0, 1e-2)
+
+
+def test_every_guard_is_evaluated_before_any_is_tested():
+    # x1 = 1e-11 is below the floor, but the later guard x2^3 at x2 = 1e200
+    # raises OverflowError as a float power, and that error comes first
+    cube = Model("cube", ("x1", "x2"), (parse("1/x1"), parse("1/x2^3")))
+    with pytest.raises(IntegrationError) as ei:
+        integrate(cube, None, ([1e-11, 1e200], [0.0, 0.0]), 1.0, 1e-2)
+    assert ei.value.time == 0.0
+    assert str(ei.value) == "integration aborted at t = 0: state became non-finite"
+
+
+def test_rk4_loop_calls_nothing_but_integration_error(monkeypatch):
+    # the guard and finiteness tests are comparisons and float arithmetic:
+    # a step calls nothing unless it aborts
+    sources = []
+
+    def capture(src, name, namespace):
+        sources.append(src)
+        return exec_generated(src, name, namespace)
+
+    monkeypatch.setattr(numerics, "exec_generated", capture)
+    for model, params in [(oscillator(), None)] + [(builtin(c[0]), c[1]) for c in BUILTIN_STARTS]:
+        numerics._rk4_kernel(model, params)
+    assert len(sources) == 4
+    for src in sources:
+        loop = next(node for node in ast.walk(ast.parse(src)) if isinstance(node, ast.For))
+        calls = [node for stmt in loop.body for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+        assert calls and all(isinstance(call.func, ast.Name) and call.func.id == "IntegrationError"
+                             for call in calls), src
 
 
 # ---------------------------------------------------------------------------
