@@ -380,9 +380,9 @@ def cmd_conditions(args) -> int:
     model = _load_model(args.model)
     params = _parse_params(args.params)
     sys_ = assemble_semialgebraic(model, params, budget=args.budget)
-    lines = [f"variables: {', '.join(sys_.vars)}"]
-    lines.extend(sys_.render())
-    obj = {"vars": list(sys_.vars), "conditions": sys_.render()}
+    conditions = sys_.render()
+    lines = [f"variables: {', '.join(sys_.vars)}", *conditions]
+    obj = {"vars": list(sys_.vars), "conditions": conditions}
     _emit(args, lines, obj)
     return EXIT_OK
 

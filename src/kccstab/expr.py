@@ -15,6 +15,7 @@ import contextlib
 import functools
 import math
 import operator
+import re
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -32,6 +33,7 @@ class ParseError(ExprError):
         self.col = col
         self.expected = expected
         suffix = f" (expected one of: {', '.join(expected)})" if expected else ""
+        self.reason = message + suffix  # the message without its position
         super().__init__(f"{message} at line {line}, column {col}{suffix}")
 
 
@@ -441,162 +443,117 @@ def _negated_term(t: Expr) -> Expr | None:
 # --------------------------------------------------------------------------
 # parsing
 
-_TOKEN_OPS = "+-*/^()"
-_DIGITS = "0123456789"  # str.isdigit would also take '²' and '٣'
+# One match per token, after blanks: a number, a word, any other character,
+# or the end of the text (the empty token).  A number that ends in '.', a word
+# that starts with no letter or '_' (such as '²x' or '٣') and a character that
+# is no operator are not tokens; _parse_error looks for them only when the
+# parse fails, since a parse that succeeds has read every token.
+_TOKEN_RE = re.compile(r"[ \t\r\n]*([0-9]+(?:\.[0-9]*)?|\w+|.|\Z)")
+_DIGITS = frozenset("0123456789")  # str.isdigit would also take '²' and '٣'
+_OPERATORS = frozenset("+-*/^()")
+_LEVELS = ({"+": add, "-": sub}, {"*": mul, "/": div})  # loosest first
+_AFTER_OPERAND = ("'+'", "'-'", "'*'", "'/'", "'^'", "end of input")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(src: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch in _DIGITS:
-            j = i
-            while j < n and src[j] in _DIGITS:
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                if j >= n or src[j] not in _DIGITS:
-                    raise ParseError("malformed number", line, start_col, ("digit",))
-                while j < n and src[j] in _DIGITS:
-                    j += 1
-            toks.append(_Token("num", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(_Token("name", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _TOKEN_OPS:
-            toks.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    toks.append(_Token("end", "", line, col))
-    return toks
+class _Failure(Exception):
+    """(token index, message or None for an unexpected token, expected)."""
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
+    def __init__(self, toks: list[str]):
         self.toks = toks
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def fail(self, expected=(), message=None, at=None):
+        raise _Failure(self.pos if at is None else at, message, expected)
 
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def fail(self, expected: tuple[str, ...]):
-        t = self.peek()
-        what = "end of input" if t.kind == "end" else f"token {t.text!r}"
-        raise ParseError(f"unexpected {what}", t.line, t.col, expected)
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind in "+-":
-            op = self.next().kind
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek().kind in "*/":
-            op = self.next()
-            rhs = self.factor()
-            if op.kind == "*":
-                e = mul(e, rhs)
-            else:
-                try:
-                    e = div(e, rhs)
-                except ZeroDenominatorError:
-                    raise ParseError("division by zero", op.line, op.col)
+    def expr(self, level: int = 0) -> Expr:
+        """A sum (level 0) of products (level 1) of factors."""
+        ops = _LEVELS[level]
+        e = self.factor() if level else self.expr(1)
+        while (op := self.toks[self.pos]) in ops:
+            at = self.pos
+            self.pos += 1
+            rhs = self.factor() if level else self.expr(1)
+            try:
+                e = ops[op](e, rhs)
+            except ZeroDenominatorError:
+                self.fail(message="division by zero", at=at)
         return e
 
     def factor(self) -> Expr:
-        if self.peek().kind == "-":
-            self.next()
+        if self.toks[self.pos] == "-":
+            self.pos += 1
             return neg(self.factor())
         base = self.atom()
-        if self.peek().kind == "^":
-            caret = self.next()
-            k = self.integer()
-            try:
-                return pow_(base, k)
-            except ZeroDenominatorError:
-                raise ParseError("zero raised to a negative power", caret.line, caret.col)
-        return base
-
-    def integer(self) -> int:
+        if self.toks[self.pos] != "^":
+            return base
+        caret = self.pos
         sign = 1
-        if self.peek().kind == "-":
-            self.next()
+        self.pos += 1
+        if self.toks[self.pos] == "-":
+            self.pos += 1
             sign = -1
-        t = self.peek()
-        if t.kind != "num" or "." in t.text:
+        t = self.toks[self.pos]
+        if t[:1] not in _DIGITS or "." in t:
             self.fail(("integer exponent",))
-        self.next()
-        return sign * int(t.text)
+        self.pos += 1
+        try:
+            return pow_(base, sign * int(t))
+        except ZeroDenominatorError:
+            self.fail(message="zero raised to a negative power", at=caret)
 
     def atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            return Constant(Fraction(t.text))
-        if t.kind == "name":
-            self.next()
-            return Symbol(t.text)
-        if t.kind == "(":
-            self.next()
+        t = self.toks[self.pos]
+        if t == "(":
+            self.pos += 1
             e = self.expr()
-            if self.peek().kind != ")":
+            if self.toks[self.pos] != ")":
                 self.fail(("')'",))
-            self.next()
-            return e
-        self.fail(("number", "symbol", "'('", "'-'"))
+        elif t[:1] in _DIGITS and t[-1] != ".":
+            e = Constant(Fraction(t))
+        elif t[:1].isalpha() or t[:1] == "_":
+            e = Symbol(t)
+        else:
+            self.fail(("number", "symbol", "'('", "'-'"))
+        self.pos += 1
+        return e
+
+
+def _parse_error(src: str, toks: list[str], at: int, message, expected) -> ParseError:
+    """The error of a failure at token `at`, or of the first place in `src`
+    that is no token, if there is one; positions come from a rescan."""
+    for i, t in enumerate(toks):
+        if t[:1] in _DIGITS:
+            if t[-1] == ".":
+                at, message, expected = i, "malformed number", ("digit",)
+                break
+        elif t and not (t[0].isalpha() or t[0] == "_" or t in _OPERATORS):
+            at, message, expected = i, f"unexpected character {t[0]!r}", ()
+            break
+    else:
+        if message is None:
+            message = f"unexpected token {toks[at]!r}" if toks[at] else "unexpected end of input"
+    offset = [m.start(1) for m in _TOKEN_RE.finditer(src)][at]
+    line = src.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - src.rfind("\n", 0, offset), expected)
 
 
 def parse(src: str) -> Expr:
     """Parse an expression; raises ParseError with line/column on bad input."""
-    p = _Parser(_tokenize(src))
+    p = _Parser(_TOKEN_RE.findall(src))
     try:
         e = p.expr()
+        if p.toks[p.pos]:
+            # the token found is not expected, which matters for a '^' after
+            # an exponent: an exponent takes no second '^'
+            p.fail(tuple(x for x in _AFTER_OPERAND if x != repr(p.toks[p.pos])))
+        return e
     except RecursionError:
-        t = p.peek()
-        raise ParseError("expression nested too deeply", t.line, t.col) from None
-    if p.peek().kind != "end":
-        p.fail(("'+'", "'-'", "'*'", "'/'", "'^'", "end of input"))
-    return e
+        failure = (p.pos, "expression nested too deeply", ())
+    except _Failure as exc:
+        failure = exc.args
+    raise _parse_error(src, p.toks, *failure) from None
 
 
 # --------------------------------------------------------------------------

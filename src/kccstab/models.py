@@ -76,19 +76,9 @@ TRACTOR_SEAT_CASES: tuple[dict, ...] = tuple(
     ]
 )
 
-# Parameter tuple of the reference simulation run (equals case 9 plus the
-# K3/C3 defaults); the headline Dispersing example uses these values.
-TRACTOR_SEAT_REFERENCE_PARAMS: dict = {
-    "M1": Fraction(31, 5),
-    "M2": Fraction(57),
-    "M3": Fraction(23),
-    "K1": Fraction(20000),
-    "K2": Fraction(37730),
-    "K3": Fraction(1000),
-    "C1": Fraction(750),
-    "C2": Fraction(159),
-    "C3": Fraction(1000),
-}
+# Parameter tuple of the reference simulation run (case 9, with the K3/C3
+# defaults); the headline Dispersing example uses these values.
+TRACTOR_SEAT_REFERENCE_PARAMS: dict = dict(TRACTOR_SEAT_CASES[-1])
 
 _TRACTOR_DEFAULTS = dict(TRACTOR_SEAT_CASES[0])
 
@@ -193,7 +183,7 @@ def loads(text: str, *, source: str = "<string>") -> Model:
                 e = parse(rhs)
             except ParseError as exc:
                 col = exc.col + m.start("rhs")
-                raise ModelError(f"{source}:{lineno}:{col}: {exc}") from exc
+                raise ModelError(f"{source}:{lineno}:{col}: {exc.reason}") from exc
             gi, mi, mj, fi = m.group("gi", "mi", "mj", "fi")
             kind, idx = ("G", (gi,)) if gi else ("f", (fi,)) if fi else ("M", (mi, mj))
             idx = tuple(int(i) for i in idx)

@@ -751,13 +751,21 @@ def test_out_of_memory_is_a_model_error(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_non_ascii_digit_in_model_file_reports_position(capsys, tmp_path):
+@pytest.mark.parametrize("rhs, error", [
+    # '\u00b2' is the 11th character of its line
+    ("x1 + \u00b2", r"3:11: unexpected character '\u00b2'"),
+    ("x1 + (x1", r"3:14: unexpected end of input \(expected one of: '\)'\)"),
+    ("x1 + 1.", r"3:11: malformed number \(expected one of: digit\)"),
+    ("(" * 3000 + "x1" + ")" * 3000, r"3:\d+: expression nested too deeply"),
+], ids=["non-ascii-digit", "end-of-input", "malformed-number", "nested"])
+def test_non_ascii_digit_in_model_file_reports_position(capsys, tmp_path, rhs, error):
+    # one position, the file's: not also parse's own "at line 1, column C"
     bad = tmp_path / "u.kcc"
-    bad.write_text("model u\nvars x1\nG1 = x1 + \u00b2\n")
+    bad.write_text(f"model u\nvars x1\nG1 = {rhs}\n")
     rc, _, err = run(capsys, ["invariants", "--model", str(bad)])
     assert rc == 2
-    assert_one_line_error(err, "unexpected character '\u00b2'")
-    assert "u.kcc:3:11:" in err  # '\u00b2' is the 11th character of its line
+    assert re.fullmatch(rf"kccstab: model error: .*u\.kcc:{error}\n", err)
+    assert "at line" not in err
 
 
 NON_ASCII_FLAG_CASES = [

@@ -1,6 +1,7 @@
 """Expression engine: parsing, printing, calculus, canonical forms."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,58 @@ def test_non_ascii_digits_are_parse_errors():
         with pytest.raises(ParseError, match="unexpected character") as ei:
             parse(text)
         assert (ei.value.line, ei.value.col) == (1, col)
+
+
+# digits, letters, non-ASCII letters and digits, the operators, stray
+# punctuation, and every blank the scanner skips, with form feed, which it does not
+SCANNER_ALPHABET = "0123456789abcxyzXYZ\u03b1\u00e9\u00b2\u0663+-*/^().#=, \t\r\n\f"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=SCANNER_ALPHABET, max_size=40))
+def test_parse_returns_an_expr_or_a_parse_error_within_the_text(text):
+    # an exact power with a long exponent, such as 9^99999999, is correct but
+    # takes minutes
+    assume(not re.search(r"\^[ \t\r\n]*-?[ \t\r\n]*[0-9]{4}", text))
+    try:
+        assert isinstance(parse(text), expr.Expr)
+    except ParseError as exc:
+        lines = text.split("\n")
+        assert 1 <= exc.line <= len(lines)
+        assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("x +\t", "unexpected end of input", 1, 5),
+    ("x +\r", "unexpected end of input", 1, 5),
+    ("x +\n", "unexpected end of input", 2, 1),
+    ("x +\n\t", "unexpected end of input", 2, 2),
+    ("x\f+ y", "unexpected character '\\x0c'", 1, 2),
+    ("1.", "malformed number", 1, 1),
+    ("x + 1.x", "malformed number", 1, 5),
+    ("y\n  2.5.", "unexpected character '.'", 2, 6),
+    # a scan error anywhere wins over a parse error before it
+    ("(x + ) $", "unexpected character '$'", 1, 8),
+])
+def test_scanner_edge_positions(text, message, line, col):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert str(ei.value).startswith(message + " at line")
+    assert (ei.value.line, ei.value.col) == (line, col)
+
+
+def test_scanner_reads_non_ascii_letters_in_names():
+    assert parse("\u03b11*x") == mul(Symbol("\u03b11"), x)
+    assert parse("x\u0663 + _a") == add(Symbol("x\u0663"), Symbol("_a"))
+
+
+@pytest.mark.parametrize("text, col", [("x^2^3", 4), ("(x)^2^3", 6), ("x^-2^2", 5)])
+def test_second_caret_after_an_exponent_is_not_expected(text, col):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert (ei.value.line, ei.value.col) == (1, col)
+    assert str(ei.value).startswith("unexpected token '^' at line 1")
+    assert ei.value.expected == ("'+'", "'-'", "'*'", "'/'", "end of input")
 
 
 def test_fractional_exponent_rejected():
