@@ -463,6 +463,7 @@ class _Parser:
     def __init__(self, toks: list[str]):
         self.toks = toks
         self.pos = 0
+        self.after_exponent = -1  # the token index just past the last exponent
 
     def fail(self, expected=(), message=None, at=None):
         raise _Failure(self.pos if at is None else at, message, expected)
@@ -497,9 +498,11 @@ class _Parser:
         t = self.toks[self.pos]
         if t[:1] not in _DIGITS or "." in t:
             self.fail(("integer exponent",))
+        exp = sign * self.number(t)
         self.pos += 1
+        self.after_exponent = self.pos
         try:
-            return pow_(base, sign * int(t))
+            return pow_(base, exp)
         except ZeroDenominatorError:
             self.fail(message="zero raised to a negative power", at=caret)
 
@@ -511,13 +514,22 @@ class _Parser:
             if self.toks[self.pos] != ")":
                 self.fail(("')'",))
         elif t[:1] in _DIGITS and t[-1] != ".":
-            e = Constant(Fraction(t))
+            e = Constant(self.number(t))
         elif t[:1].isalpha() or t[:1] == "_":
             e = Symbol(t)
         else:
             self.fail(("number", "symbol", "'('", "'-'"))
         self.pos += 1
         return e
+
+    def number(self, t: str) -> int | Fraction:
+        """The number token at `pos`, its digits read as one int; a token with
+        more digits than the interpreter converts to an int fails there."""
+        whole, _, frac = t.partition(".")
+        try:
+            return Fraction(int(whole + frac), 10 ** len(frac)) if frac else int(whole)
+        except ValueError:
+            self.fail(message="number has too many digits")
 
 
 def _parse_error(src: str, toks: list[str], at: int, message, expected) -> ParseError:
@@ -545,9 +557,8 @@ def parse(src: str) -> Expr:
     try:
         e = p.expr()
         if p.toks[p.pos]:
-            # the token found is not expected, which matters for a '^' after
-            # an exponent: an exponent takes no second '^'
-            p.fail(tuple(x for x in _AFTER_OPERAND if x != repr(p.toks[p.pos])))
+            # an exponent takes no second '^'
+            p.fail(tuple(x for x in _AFTER_OPERAND if x != "'^'" or p.pos != p.after_exponent))
         return e
     except RecursionError:
         failure = (p.pos, "expression nested too deeply", ())

@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .expr import (
     Add,
     Div,
@@ -232,9 +234,9 @@ class DeviationSystem:
     """Linearized trajectory-deviation dynamics xi'' = A21 xi + A22 xi'.
 
     A21 = -2 dG/dx and A22 = -2 N, both n x n symbolic matrices; `block`
-    is the 2n x 2n first-order form [[0, E], [A21, A22]].  The blocks, and
-    the compiled function `at_point` evaluates, are derived once per model
-    and kept in `model.compiled`; A22 reuses the invariants' N.
+    is the 2n x 2n first-order form [[0, E], [A21, A22]].  The blocks are
+    derived once per model and kept in `model.compiled`, A22 from the
+    invariants' N; `at_point` reads their values from `model.compiled.at`.
     """
 
     __slots__ = ("model", "A21", "A22")
@@ -277,14 +279,9 @@ class DeviationSystem:
         velocities: Sequence[float] | None = None,
     ) -> tuple[list[list[float]], list[list[float]]]:
         """Evaluate (A21, A22) numerically at a state (default velocities 0)."""
-        n = self.n
         compiled = self.model.compiled
-        vals = compiled.call(
-            compiled.deviation, compiled.parameter_values(params), point, velocities
-        )
-        a21 = [list(vals[i * n:(i + 1) * n]) for i in range(n)]
-        a22 = [list(vals[(n + i) * n:(n + i + 1) * n]) for i in range(n)]
-        return a21, a22
+        _, a21, a22 = compiled.at(compiled.parameter_values(params), point, velocities)
+        return a21.tolist(), a22.tolist()
 
 
 def kcc_deviation(model: Model) -> DeviationSystem:
@@ -301,18 +298,18 @@ class CompiledModel:
     `Model.compiled` builds this on first use and keeps it on the model, so
     however many parameter points are analysed, the invariants are derived
     once and each evaluator is compiled once; each part is built when first
-    asked for.  The evaluators take the positions, the velocities and the
-    parameter values as float arguments in the order `xs + ys + params`
-    (see `call`) and return the matrix entries as one flat row-major tuple:
+    asked for:
 
     invariants        the KccInvariants of the model
     deviation_blocks  symbolic (A21, A22) = (-2 dG/dx, -2 N)
-    curvature         P, n*n entries
-    deviation         A21 then A22, 2*n*n entries
+    state             P, A21 and A22, 3*n*n entries row-major, as a function
+                      of `xs + ys + params` as floats; `at` runs it
     fixed_points      the FixedPointSystem: G at y = 0 and its divisors as
                       canonical pairs over `xs + params`, and `bind`, which
                       binds exact values of any of the parameters into them
 
+    Each entry of `state` has the float operations of its own tree; a
+    subtree shared by entries, such as A21 inside P, is computed once.
     Parameter values never enter this data.  The fixed-point search
     evaluates what `bind` gives through `fixed_point_forms`: numerators
     with their Jacobian, and denominators, compiled once per monomial support.
@@ -332,12 +329,10 @@ class CompiledModel:
         return inv.A21, [[mul(-2, e) for e in row] for row in inv.N]
 
     @cached_property
-    def curvature(self) -> Callable:
-        return self._compile(self.invariants.P)
-
-    @cached_property
-    def deviation(self) -> Callable:
-        return self._compile(*self.deviation_blocks)
+    def state(self) -> Callable:
+        inv, m = self.invariants, self.model
+        entries = [e for M in (inv.P, *self.deviation_blocks) for row in M for e in row]
+        return compile_callable(entries, m.xs + m.ys + m.params)
 
     @cached_property
     def fixed_points(self) -> "FixedPointSystem":
@@ -370,11 +365,6 @@ class CompiledModel:
         fused, den = self._forms[key]
         return (fused, coeffs[0] + coeffs[1]), (den, coeffs[2])
 
-    def _compile(self, *matrices) -> Callable:
-        m = self.model
-        entries = [e for M in matrices for row in M for e in row]
-        return compile_callable(entries, m.xs + m.ys + m.params)
-
     def parameter_values(
         self, params: Mapping[str, Fraction | float] | None
     ) -> tuple[float, ...]:
@@ -382,14 +372,14 @@ class CompiledModel:
         bind = self.model.binding(params)
         return tuple(to_float(bind[p]) for p in self.model.params)
 
-    def call(
+    def at(
         self,
-        fn: Callable,
         param_values: Sequence[float],
         point: Sequence[float],
         velocities: Sequence[float] | None = None,
-    ) -> tuple[float, ...]:
-        """Run an evaluator at one state (default velocities 0).
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """P, A21 and A22 as n x n float arrays at one state (default
+        velocities 0), from one run of `state`.
 
         A zero denominator raises ZeroDenominatorError, as exact evaluation
         does; a power beyond the float range raises ExprError.
@@ -402,11 +392,12 @@ class CompiledModel:
             raise ModelError(f"{len(vel)} velocities given, expected {n}")
         args = [float(c) for c in point] + [float(v) for v in vel]
         try:
-            return fn(*args, *param_values)
+            vals = self.state(*args, *param_values)
         except ZeroDivisionError:
             raise ZeroDenominatorError(detail=f"at state {tuple(args)}") from None
         except OverflowError:
             raise ExprError(f"evaluation overflowed at state {tuple(args)}") from None
+        return tuple(np.array(vals, dtype=float).reshape(3, n, n))
 
 
 class FixedPointSystem:

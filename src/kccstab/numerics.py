@@ -21,8 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .expr import Constant, _emit, _too_deep, canonicalize, exec_generated, mul, p_to_expr
-from .kcc import Model, ModelError, kcc_deviation
-from .stability import Classifier
+from .kcc import Model, ModelError
 
 DEFAULT_PROBE_WINDOW = 0.5
 DEFAULT_PROBE_SAMPLES = 100
@@ -231,7 +230,8 @@ def integrate_deviation(
     """
     n = model.n
     W = _check_w(W, n)
-    lower = np.hstack(kcc_deviation(model).at_point(params, point))  # [A21, A22]
+    compiled = model.compiled
+    lower = np.hstack(compiled.at(compiled.parameter_values(params), point)[1:])  # [A21, A22]
     if not np.all(np.isfinite(lower)):
         raise ValueError(f"deviation system at {tuple(point)} has a non-finite entry")
     nsteps = step_count(t_end, dt)
@@ -381,7 +381,7 @@ def jacobi_focusing(
     """
     if not 0 < t_probe < math.inf:  # also rejects nan
         raise ValueError("t_probe must be finite and positive")
-    P = Classifier(model, params).curvature_at(point)
+    P = model.compiled.at(model.compiled.parameter_values(params), point)[0]
     n = P.shape[0]
     if W is None:
         W = dominant_deviation_direction(P)

@@ -265,9 +265,9 @@ class Classifier:
     """Evaluates the deviation curvature P at points of one parametrized model.
 
     P is derived and compiled once per model, with the parameters as
-    arguments, and kept in `model.compiled`; a Classifier only resolves the
-    parameter values to floats, so building one per parameter point does no
-    symbolic work.
+    arguments, into the one state evaluator `model.compiled.at` runs, which
+    also gives A21 and A22; a Classifier only resolves the parameter values
+    to floats, so building one per parameter point does no symbolic work.
     """
 
     def __init__(self, model: Model, params: Mapping[str, Fraction | float] | None = None):
@@ -275,10 +275,7 @@ class Classifier:
         self._params = model.compiled.parameter_values(params)
 
     def curvature_at(self, point: Sequence[float], velocities: Sequence[float] | None = None) -> np.ndarray:
-        compiled = self.model.compiled
-        vals = compiled.call(compiled.curvature, self._params, point, velocities)
-        n = self.model.n
-        return np.array(vals, dtype=float).reshape(n, n)
+        return self.model.compiled.at(self._params, point, velocities)[0]
 
     def classify(self, point: Sequence[float], tol: float = DEFAULT_TOL) -> StabilityReport:
         P = self.curvature_at(point)

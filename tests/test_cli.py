@@ -26,6 +26,8 @@ from kccstab.expr import ExprError, evaluate, parse
 from kccstab.kcc import ModelError
 from kccstab.models import loads
 
+from shared_data import chain_model_text
+
 WS = ["--model", "wound_strings", "--params", "a=1/2,C=1,m=-1"]
 AIRFOIL_1 = ["--model", "airfoil", "--params", "Minf=2017/256,V=83/4"]
 AIRFOIL_2 = ["--model", "airfoil", "--params", "Minf=71/16384,V=3/16"]
@@ -187,16 +189,6 @@ def test_divisor_vanishing_at_rest_is_a_model_error(capsys, tmp_path):
         assert "0 fixed point(s) found" in out
 
 
-def _chain_model_text(n):
-    """The n-mass chain with fixed ends, G_i = (k x_i + q (2 x_i - x_{i-1} - x_{i+1})
-    - b x_i^3 + c y_i) / (2 (1 + x_i^2))."""
-    lines = [f"model chain{n}", "params k q b c", "vars " + " ".join(f"x{i}" for i in range(1, n + 1))]
-    for i in range(1, n + 1):
-        nb = "".join(f" - x{j}" for j in (i - 1, i + 1) if 1 <= j <= n)
-        lines.append(f"G{i} = (k*x{i} + q*(2*x{i}{nb}) - b*x{i}^3 + c*y{i})/(2*(1 + x{i}^2))")
-    return "\n".join(lines) + "\n"
-
-
 CHAIN_PARAMS = "k=13/16,q=1/16,b=1/4,c=1/8"
 # (model, --params, stdout length, stdout sha256)
 CONDITIONS_DIGESTS = [
@@ -224,7 +216,7 @@ CONDITIONS_DIGESTS = [
 def test_conditions_text_is_byte_stable(capsys, tmp_path, model, params, size, digest):
     if model.startswith("chain"):
         path = tmp_path / f"{model}.kcc"
-        path.write_text(_chain_model_text(int(model[5:])))
+        path.write_text(chain_model_text(int(model[5:])))
         model = str(path)
     rc, out, err = run(capsys, ["conditions", "--model", model] + (["--params", params] if params else []))
     assert (rc, err) == (0, "")
@@ -757,7 +749,9 @@ def test_out_of_memory_is_a_model_error(capsys, tmp_path):
     ("x1 + (x1", r"3:14: unexpected end of input \(expected one of: '\)'\)"),
     ("x1 + 1.", r"3:11: malformed number \(expected one of: digit\)"),
     ("(" * 3000 + "x1" + ")" * 3000, r"3:\d+: expression nested too deeply"),
-], ids=["non-ascii-digit", "end-of-input", "malformed-number", "nested"])
+    # more digits than the interpreter's int-string limit
+    ("x1 + " + "1" * 5000, r"3:11: number has too many digits"),
+], ids=["non-ascii-digit", "end-of-input", "malformed-number", "nested", "long-number"])
 def test_non_ascii_digit_in_model_file_reports_position(capsys, tmp_path, rhs, error):
     # one position, the file's: not also parse's own "at line 1, column C"
     bad = tmp_path / "u.kcc"

@@ -145,6 +145,42 @@ def test_second_caret_after_an_exponent_is_not_expected(text, col):
     assert ei.value.expected == ("'+'", "'-'", "'*'", "'/'", "end of input")
 
 
+@pytest.mark.parametrize("text, col, caret", [
+    ("x^2 y", 5, False), ("-x^-2 y", 7, False), ("x^2 )", 5, False),
+    # a parenthesised power may be raised again
+    ("(x^2) y", 7, True),
+])
+def test_caret_is_expected_unless_an_exponent_ends_the_operand(text, col, caret):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert (ei.value.line, ei.value.col) == (1, col)
+    assert ei.value.expected == ("'+'", "'-'", "'*'", "'/'") + ("'^'",) * caret + ("end of input",)
+
+
+LONG = "1" * 5000  # beyond the interpreter's default 4,300-digit int-string limit
+
+
+@pytest.mark.parametrize("text, col", [
+    (LONG, 1),
+    ("x + " + LONG, 5),
+    ("2*(1." + LONG + ")", 4),
+    # each side of the point is within the limit, the number is not
+    ("1" * 4000 + "." + "1" * 1000, 1),
+    ("x^" + LONG, 3),
+    ("x^-" + LONG, 4),
+], ids=["integer", "integer-term", "decimal", "decimal-split", "exponent", "negative-exponent"])
+def test_number_over_the_digit_limit_is_a_parse_error(text, col):
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert str(ei.value) == f"number has too many digits at line 1, column {col}"
+
+
+def test_numbers_within_the_digit_limit_keep_their_values():
+    assert parse("1" * 4300) == Constant(int("1" * 4300))
+    assert parse("12.50") == Constant(Fraction(25, 2))
+    assert parse("0.125*x^-2") == parse("(1/8)*x^-2")
+
+
 def test_fractional_exponent_rejected():
     with pytest.raises(ParseError):
         parse("x^2.5")

@@ -30,23 +30,7 @@ from kccstab.kcc import (
 )
 from kccstab.models import builtin
 
-# The four published deviation-curvature entries for the wound-strings system.
-REFERENCE_WS_P = {
-    (0, 0): "-(2*C^2*a^6*x1^6 + 7*C^2*a^4*m^2*x1^4*x2^2 + 8*C^2*a^2*m^4*x1^2*x2^4"
-    " + 3*C^2*m^6*x2^6 - 3*a^2*m^2*x1^5*x2^3*y1*y2 - 2*a^4*x1^6*x2^2"
-    " + a^2*m^2*x1^4*x2^4 + 2*a^2*x1^6*x2^2*y2^2 - m^2*x1^4*x2^4*y2^2)"
-    "/(x1^4*x2^2*(a^2*x1^2 + m^2*x2^2)^2)",
-    (0, 1): "-(3*C^2*a^6*x1^4 + 6*C^2*a^4*m^2*x1^2*x2^2 + 3*C^2*a^2*m^4*x2^4"
-    " + 3*a^2*m^2*x1^2*x2^4*y1^2 - 3*a^2*m^2*x1^2*x2^4 - 2*a^2*x1^3*x2^3*y1*y2"
-    " + m^2*x1*x2^5*y1*y2)/(x1*x2^3*(a^2*x1^2 + m^2*x2^2)^2)",
-    (1, 0): "-a^2*m^2*(3*C^2*a^4*x1^4 + 6*C^2*a^2*m^2*x1^2*x2^2 + 3*C^2*m^4*x2^4"
-    " + a^2*x1^5*x2*y1*y2 - 2*m^2*x1^3*x2^3*y1*y2 - 3*a^2*x1^4*x2^2"
-    " + 3*x1^4*x2^2*y2^2)/(x1^3*x2*(a^2*x1^2 + m^2*x2^2)^2)",
-    (1, 1): "-a^2*(3*C^2*a^6*x1^6 + 8*C^2*a^4*m^2*x1^4*x2^2 + 7*C^2*a^2*m^4*x1^2*x2^4"
-    " + 2*C^2*m^6*x2^6 - a^2*m^2*x1^4*x2^4*y1^2 + 2*m^4*x1^2*x2^6*y1^2"
-    " + a^2*m^2*x1^4*x2^4 - 2*m^4*x1^2*x2^6 - 3*m^2*x1^3*x2^5*y1*y2)"
-    "/(x1^2*x2^4*(a^2*x1^2 + m^2*x2^2)^2)",
-}
+from shared_data import REFERENCE_WS_P
 
 WS_PARAMS = {"a": Fraction(1, 2), "C": 1, "m": -1}
 

@@ -68,6 +68,8 @@ from kccstab.stability import (
     hurwitz_matrix,
 )
 
+from shared_data import chain_model_text
+
 WS_PARAMS = {"a": Fraction(1, 2), "C": 1, "m": -1}
 AIRFOIL_PARAMS = {"Minf": Fraction(2017, 256), "V": Fraction(83, 4)}
 AIRFOIL_PARAMS_2 = {"Minf": Fraction(71, 16384), "V": Fraction(3, 16)}
@@ -310,15 +312,6 @@ def test_report_contents_at_wound_strings_point():
     assert min(rep.decision_values) > 1e-9
 
 
-def _chain_text(n):
-    """The n-mass chain with fixed ends, as in the benchmark's model_scaling."""
-    lines = [f"model chain{n}", "params k q b c", "vars " + " ".join(f"x{i}" for i in range(1, n + 1))]
-    for i in range(1, n + 1):
-        nb = "".join(f" - x{j}" for j in (i - 1, i + 1) if 1 <= j <= n)
-        lines.append(f"G{i} = (k*x{i} + q*(2*x{i}{nb}) - b*x{i}^3 + c*y{i})/(2*(1 + x{i}^2))")
-    return "\n".join(lines) + "\n"
-
-
 def _chain_draw(n, draw):
     rng = random.Random(1000 * n + draw)
     return {"k": Fraction(rng.randint(12, 20), 16), "q": Fraction(rng.randint(1, 3), 16),
@@ -327,7 +320,7 @@ def _chain_draw(n, draw):
 
 @pytest.fixture(scope="module")
 def chains():
-    return {n: loads(_chain_text(n)) for n in (3, 4)}
+    return {n: loads(chain_model_text(n)) for n in (3, 4)}
 
 
 _BUILTIN_SETS = [
@@ -571,7 +564,7 @@ def _search_cases():
     for params, box in _airfoil_region_points():
         yield airfoil, params, box, 5
     for n in (3, 4):
-        chain = loads(_chain_text(n))
+        chain = loads(chain_model_text(n))
         for draw in range(3):
             yield chain, _chain_draw(n, draw), None, 5
 
@@ -599,18 +592,11 @@ def test_points_sort_as_printed():
 # ---------------------------------------------------------------------------
 # per-model compiled data
 
-CHAIN2 = """model chain2
-params k q b c
-vars x1 x2
-G1 = (k*x1 + q*(2*x1 - x2) - b*x1^3 + c*y1)/(2*(1 + x1^2))
-G2 = (k*x2 + q*(2*x2 - x1) - b*x2^3 + c*y2)/(2*(1 + x2^2))
-"""
-
 
 @pytest.fixture(scope="module")
 def oracle_models():
     models = {name: builtin(name) for name in BUILTIN_NAMES}
-    models["chain2"] = loads(CHAIN2)
+    models["chain2"] = loads(chain_model_text(2))
     return models
 
 
@@ -669,6 +655,26 @@ def test_compiled_matrices_match_exact_evaluation(oracle_models, data):
                 assert _close(got[i][j], sym[i][j], exact), (name, i, j)
 
 
+def test_state_evaluator_matches_each_matrix_compiled_alone(oracle_models):
+    # P, A21 and A22 share subtrees in one evaluator; each entry must still
+    # have the float operations it has when its matrices are compiled alone
+    rng = random.Random(104729)
+    for name, m in oracle_models.items():
+        compiled = m.compiled
+        names = m.xs + m.ys + m.params
+        alone = [
+            compile_callable([e for M in matrices for row in M for e in row], names)
+            for matrices in ((compiled.invariants.P,), compiled.deviation_blocks)
+        ]
+        for _ in range(25):
+            params = [rng.uniform(0.25, 4) for _ in m.params]
+            x = [rng.choice((-1, 1)) * rng.uniform(0.25, 4) for _ in range(m.n)]
+            for y in (None, [rng.uniform(-2, 2) for _ in range(m.n)]):
+                got = [v for M in compiled.at(params, x, y) for v in M.ravel().tolist()]
+                want = [v for f in alone for v in f(*x, *(y or [0.0] * m.n), *params)]
+                assert [v.hex() for v in got] == [float(v).hex() for v in want], name
+
+
 def test_model_derives_and_compiles_once(monkeypatch):
     built, compiled = [], []
     real_invariants, real_compile = kcc.invariants, kcc.compile_callable
@@ -678,15 +684,16 @@ def test_model_derives_and_compiles_once(monkeypatch):
         lambda exprs, names: compiled.append(len(exprs)) or real_compile(exprs, names),
     )
     af = builtin("airfoil")
-    loads(CHAIN2)
+    loads(chain_model_text(2))
     assert built == [] and compiled == []
     for k in range(5):
         params = {"Minf": Fraction(2017 + k, 256), "V": Fraction(83, 4)}
         assert count_stable(af, params, box=(-1, 1), seeds=5) == 2
     assert built == [af]
     # fixed-point numerators with their 2 x 2 Jacobian, the denominators,
-    # then the 2 x 2 curvature P; nothing is compiled per parameter point
-    assert compiled == [6, 2, 4]
+    # then the state evaluator of the 2 x 2 matrices P, A21 and A22; nothing
+    # is compiled per parameter point
+    assert compiled == [6, 2, 12]
     # the higher invariants and the deviation blocks are derived once too
     inv = af.compiled.invariants
     for name in ("torsion", "riemann", "douglas"):
@@ -702,12 +709,6 @@ DEGEN = """model degen
 params p
 vars x1
 G1 = (x1^2 + p)/(x1*(x1 + 1)) + y1
-"""
-
-CHAIN1 = """model chain1
-params k q b c
-vars x1
-G1 = (k*x1 + q*(2*x1) - b*x1^3 + c*y1)/(2*(1 + x1^2))
 """
 
 
@@ -735,8 +736,8 @@ def _reduced(pairs, xs):
 @pytest.fixture(scope="module")
 def fixed_point_models():
     models = {name: builtin(name) for name in BUILTIN_NAMES}
-    models["chain1"] = loads(CHAIN1)
-    models["chain2"] = loads(CHAIN2)
+    models["chain1"] = loads(chain_model_text(1))
+    models["chain2"] = loads(chain_model_text(2))
     return models
 
 
@@ -847,7 +848,7 @@ def test_fixed_point_search_does_no_symbolic_work_per_point(monkeypatch):
          (-1, 1), 3),
         (builtin("wound_strings"), lambda k: {"a": Fraction(1, 2), "C": Fraction(4 + k, 4), "m": -1},
          (-4, 4), 4),
-        (loads(CHAIN2), lambda k: {"k": 1, "q": Fraction(1, 8 + k), "b": Fraction(1, 4), "c": 1},
+        (loads(chain_model_text(2)), lambda k: {"k": 1, "q": Fraction(1, 8 + k), "b": Fraction(1, 4), "c": 1},
          (-4, 4), 9),
     ]
     for m, params, box, _ in sweeps:
