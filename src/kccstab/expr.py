@@ -404,7 +404,7 @@ def _node_prec(e: Expr) -> float:
 def _fmt(e: Expr, ctx_prec: float) -> str:
     if isinstance(e, Constant):
         v = e.value
-        s = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        s = _int_str(v.numerator) + (f"/{_int_str(v.denominator)}" if v.denominator != 1 else "")
     elif isinstance(e, Symbol):
         s = e.name
     elif isinstance(e, Add):
@@ -667,9 +667,20 @@ def to_float(value: Number) -> float:
     try:
         return float(value)
     except OverflowError:
-        value = Fraction(value)
-        digits = len(str(abs(value.numerator))) - len(str(value.denominator))
-        raise ExprError(f"number of about 10^{digits} is out of float range") from None
+        raise ExprError(f"number of about 10^{_magnitude(Fraction(value))} is out of float range") from None
+
+
+def _magnitude(value: Fraction) -> int:
+    """About log10 |value|, from bit lengths: str refuses past 4,300 digits."""
+    return round((abs(value.numerator).bit_length() - value.denominator.bit_length()) * math.log10(2))
+
+
+def _int_str(k: int) -> str:
+    """str(k); an int with more digits than the interpreter prints is an ExprError."""
+    try:
+        return str(k)
+    except ValueError:
+        raise ExprError(f"number of about 10^{_magnitude(Fraction(k))} has too many digits to print") from None
 
 
 def compile_callable(exprs: Sequence[Expr], argnames: Sequence[str]) -> Callable:
@@ -1136,11 +1147,11 @@ def p_str(p: Poly, names: Sequence[str]) -> str:
                 factors.append(f"{name}^{k}")
         mag = abs(c)
         if not factors:
-            body = str(mag)
+            body = _int_str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([_int_str(mag)] + factors)
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:

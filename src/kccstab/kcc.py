@@ -310,14 +310,16 @@ class CompiledModel:
 
     Each entry of `state` has the float operations of its own tree; a
     subtree shared by entries, such as A21 inside P, is computed once.
-    Parameter values never enter this data.  The fixed-point search
-    evaluates what `bind` gives through `fixed_point_forms`: numerators
-    with their Jacobian, and denominators, compiled once per monomial support.
+    Parameter values enter only `rk4`, set by `numerics._rk4_kernel`.  The
+    fixed-point search evaluates what `bind` gives through
+    `fixed_point_forms`: numerators with their Jacobian, and denominators,
+    compiled once per monomial support.
     """
 
     def __init__(self, model: Model):
         self.model = model
         self._forms = {}
+        self.rk4 = None
 
     @cached_property
     def invariants(self) -> KccInvariants:

@@ -184,9 +184,13 @@ def loads(text: str, *, source: str = "<string>") -> Model:
             except ParseError as exc:
                 col = exc.col + m.start("rhs")
                 raise ModelError(f"{source}:{lineno}:{col}: {exc.reason}") from exc
-            gi, mi, mj, fi = m.group("gi", "mi", "mj", "fi")
-            kind, idx = ("G", (gi,)) if gi else ("f", (fi,)) if fi else ("M", (mi, mj))
-            idx = tuple(int(i) for i in idx)
+            names = [g for g in ("gi", "mi", "mj", "fi") if m.group(g)]
+            kind, idx = {"gi": "G", "mi": "M", "fi": "f"}[names[0]], ()
+            for g in names:
+                try:
+                    idx += (int(m.group(g)),)
+                except ValueError:  # more digits than the interpreter converts to an int
+                    raise ModelError(f"{source}:{lineno}:{m.start(g) + 1}: index has too many digits") from None
             key = _KEY[kind].format(*idx)
             if key in assigns:
                 raise _err(lineno, f"duplicate {key}")

@@ -110,8 +110,9 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 def _rk4_kernel(model: Model, params) -> Callable[[list, float, float], Trace]:
-    """Fixed-step RK4 on x' = y, y' = -2G, G bound to `params`, compiled once
-    into a function of (z0, t_end, dt) that returns the Trace.
+    """Fixed-step RK4 on x' = y, y' = -2G, G bound to `params`, compiled into
+    a function of (z0, t_end, dt) that returns the Trace and kept with the
+    exact values bound as `model.compiled.rk4`: equal values reuse it.
 
     The accelerations and the canonical denominators of G (the guards) are
     Python sources over the stage state `s0 .. s{2n-1}`, computing each
@@ -122,6 +123,9 @@ def _rk4_kernel(model: Model, params) -> Callable[[list, float, float], Trace]:
     runs alone into a buffer holding z0 in every row: if it maps z0 to itself
     byte for byte, so would every later step (the models are autonomous).
     """
+    bind = model.binding(params)
+    if model.compiled.rk4 and model.compiled.rk4[0] == bind:
+        return model.compiled.rk4[1]
     n = model.n
     m = 2 * n
     args = model.xs + model.ys
@@ -167,6 +171,7 @@ def _rk4_kernel(model: Model, params) -> Callable[[list, float, float], Trace]:
             run(out[m:2 * m], out, 2, nsteps, dt)
         return Trace(np.arange(nsteps + 1) * dt, np.frombuffer(out).reshape(-1, m), args, dt, "rk4")
 
+    model.compiled.rk4 = bind, trace
     return trace
 
 
@@ -190,7 +195,8 @@ def integrate(
     1e-10 in magnitude at an evaluation point (a nan one hides no other),
     when an evaluation divides by zero or overflows, or when the state gets
     an inf or nan; its `time` is that of the stage (for the state, the step's end).
-    A start that one step maps to itself byte for byte is repeated.
+    A start that one step maps to itself byte for byte is repeated.  The
+    loop is compiled once per model and parameter values (`_rk4_kernel`).
     """
     z0 = _start(model.n, initial)
     return _rk4_kernel(model, params)(z0, t_end, dt)
@@ -407,14 +413,14 @@ def perturbation_oracle(
     """Deviation estimate (x̃(t) - x(t)) / eta from two nonlinear runs.
 
     Both runs start at the position `point`: the base one at rest, the
-    perturbed one with velocity eta·W.
+    perturbed one with velocity eta·W, both on the kernel `integrate` runs.
     """
     if eta == 0:
         raise ValueError("eta must be nonzero")
     n = model.n
     W = _check_w(W, n)
     starts = [_start(n, (point, np.zeros(n))), _start(n, (point, eta * W))]
-    run = _rk4_kernel(model, params)  # compiled once for both runs
+    run = _rk4_kernel(model, params)  # kept on the model, where `integrate` finds it
     base, pert = (run(z0, t_end, dt) for z0 in starts)
     states = (pert.states - base.states) / eta
     return Trace(base.times, states, _deviation_names(n), dt, "fd-oracle")
@@ -422,12 +428,13 @@ def perturbation_oracle(
 
 def _write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Header, then float rows at 17 significant digits (csv.writer's bytes),
-    formatted 512 rows per `%` so that memory stays flat."""
+    appended in binary 512 rows per bytes `%` so that memory stays flat."""
     import csv
 
-    fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
+    fmt = (",".join(["%.17g"] * len(header)) + "\r\n").encode()
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
+    with open(path, "ab") as fh:
         for i in range(0, len(columns[0]), 512):
             block = np.column_stack([c[i:i + 512] for c in columns])
             fh.write(fmt * len(block) % tuple(block.ravel().tolist()))

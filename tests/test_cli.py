@@ -762,6 +762,35 @@ def test_non_ascii_digit_in_model_file_reports_position(capsys, tmp_path, rhs, e
     assert "at line" not in err
 
 
+@pytest.mark.parametrize("text, position", [
+    ("model u\nvars x1\nG" + "1" * 5000 + " = x1\n", "3:2"),
+    ("model u\nmode linear-accel\nvars x1\nM[1][" + "1" * 5000 + "] = 1\nf[1] = x1\n", "4:6"),
+], ids=["G", "M"])
+def test_index_with_too_many_digits_reports_position(capsys, tmp_path, text, position):
+    bad = tmp_path / "u.kcc"
+    bad.write_text(text)
+    rc, _, err = run(capsys, ["classify", "--model", str(bad)])
+    assert rc == 2
+    assert re.fullmatch(rf"kccstab: model error: .*u\.kcc:{position}: index has too many digits\n", err)
+
+
+def test_constants_with_too_many_digits_are_model_errors(capsys, tmp_path):
+    # 10^5000 folds to one constant of 5,001 digits, more than the
+    # interpreter converts to a str: its size is given, from its bit length
+    big = tmp_path / "big.kcc"
+    big.write_text("model big\nvars x1\nG1 = x1 + 10^5000*y1^2\n")
+    for argv, text in [
+        (["classify"], "number of about 10^5000 is out of float range"),
+        (["invariants"], "number of about 10^5000 has too many digits to print"),
+        (["invariants", "--format", "json"], "number of about 10^5000 has too many digits to print"),
+        (["conditions"], "has too many digits to print"),
+    ]:
+        rc, out, err = run(capsys, [*argv, "--model", str(big)])
+        assert (rc, out) == (2, ""), argv
+        assert_one_line_error(err, text)
+        assert "set_int_max_str_digits" not in err
+
+
 NON_ASCII_FLAG_CASES = [
     (["classify", *WS, "--seeds", "{}"], "@"),
     (["fixed-points", *WS, "--seeds", "{}"], "@"),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from kccstab import numerics
 from kccstab.cli import main
-from kccstab.kcc import Model, kcc_deviation
+from kccstab.kcc import Model, ModelError, kcc_deviation
 from kccstab.expr import (
     ExprError, canonicalize, compile_callable, exec_generated, mul, p_to_expr, parse,
 )
@@ -502,6 +502,8 @@ def test_perturbation_oracle_at_stable_points_matches_the_full_loop(builtin_fixe
 
 
 def test_perturbation_oracle_compiles_one_kernel_for_both_runs(builtin_fixed_points, monkeypatch):
+    # one compile per model and parameter values serves integrate, then both
+    # runs of the oracle at every stable point of that model
     stable = [case for case in builtin_fixed_points if case[3] == STABLE]
     eta = 1e-6
     compiled = []
@@ -510,22 +512,79 @@ def test_perturbation_oracle_compiles_one_kernel_for_both_runs(builtin_fixed_poi
         compiled.append(args[1])
         return exec_generated(*args)
 
+    fresh = {}  # a new copy of each fixture model, with no kernel kept yet
     for model, params, point, _ in stable:
         n = model.n
         W = 1e-2 * np.ones(n) / np.sqrt(n)
         starts = [(point, np.zeros(n)), (point, eta * W)]
-        base, pert = (integrate(model, params, start, 1.0, 1e-3) for start in starts)
+        mine = fresh.setdefault(id(model), builtin(model.name))
         with monkeypatch.context() as patch:
             patch.setattr(numerics, "exec_generated", counting)
-            run = numerics._rk4_kernel(model, params)
-            po = perturbation_oracle(model, params, point, W, eta=eta, t_end=1.0, dt=1e-3)
-        assert compiled == ["_rk4", "_rk4"], (model.name, point)  # one each
-        compiled.clear()
+            base, pert = (integrate(mine, params, start, 1.0, 1e-3) for start in starts)
+            run = numerics._rk4_kernel(mine, params)
+            po = perturbation_oracle(mine, params, point, W, eta=eta, t_end=1.0, dt=1e-3)
+        assert compiled == ["_rk4"] * len(fresh), (model.name, point)
+        assert mine.compiled.rk4[1] is run
         for ref, start in zip((base, pert), starts):
             got = run([*map(float, start[0]), *map(float, start[1])], 1.0, 1e-3)
             assert got.times.tobytes() == ref.times.tobytes()
             assert got.states.tobytes() == ref.states.tobytes(), (model.name, point)
         assert po.states.tobytes() == ((pert.states - base.states) / eta).tobytes()
+    assert len(fresh) == 3  # wound_strings and airfoil at two parameter points
+
+
+def test_kernel_is_kept_for_equal_parameter_values(monkeypatch):
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[1])
+        return exec_generated(*args)
+
+    monkeypatch.setattr(numerics, "exec_generated", counting)
+    ws = builtin("wound_strings")
+    half = numerics._rk4_kernel(ws, {"a": Fraction(1, 2), "C": 1, "m": -1})
+    # equal as numbers: a float, an int and a Fraction of the same value
+    assert numerics._rk4_kernel(ws, {"a": 0.5, "C": 1.0, "m": Fraction(-1)}) is half
+    assert compiled == ["_rk4"]
+    third = numerics._rk4_kernel(ws, {"a": Fraction(1, 3), "C": 1, "m": -1})
+    assert third is not half and compiled == ["_rk4"] * 2
+    # 1/3 as a float is another exact value, though float(1/3) is the same
+    assert numerics._rk4_kernel(ws, {"a": 1 / 3, "C": 1, "m": -1}) is not third
+    # the kept kernel is the last one compiled: the first values compile anew
+    assert numerics._rk4_kernel(ws, WS_PARAMS) is not half
+    assert compiled == ["_rk4"] * 4
+    # defaults bind as the values they stand for; another model keeps its own
+    seat = builtin("tractor_seat")
+    defaults = numerics._rk4_kernel(seat, None)
+    assert numerics._rk4_kernel(seat, dict(seat.defaults)) is defaults
+    assert numerics._rk4_kernel(builtin("tractor_seat"), None) is not defaults
+    assert compiled == ["_rk4"] * 6
+    # a binding that fails keeps the kept kernel
+    with pytest.raises(ModelError, match="missing value"):
+        numerics._rk4_kernel(ws, {"a": 1})
+    assert numerics._rk4_kernel(ws, WS_PARAMS) is ws.compiled.rk4[1]
+    assert compiled == ["_rk4"] * 6
+
+
+def test_alternating_parameter_sets_match_fresh_kernels():
+    # the kept kernel is replaced back and forth; every trace is that of a
+    # kernel compiled for its values on a new model
+    cases = [
+        ("wound_strings", [WS_PARAMS, {"a": Fraction(3, 4), "C": 2, "m": -1}],
+         ([2.03, 0.98], [0.004, -0.007])),
+        ("airfoil", [AIRFOIL_PARAMS, {"Minf": Fraction(71, 16384), "V": Fraction(3, 16)}],
+         ([0.157, -0.121], [0.003, 0.001])),
+    ]
+    for name, param_sets, start in cases:
+        model = builtin(name)
+        point, W = start[0], np.array([0.6, -0.8])
+        for params in param_sets * 2:
+            got = integrate(model, params, start, 0.5, 1e-2)
+            ref = integrate(builtin(name), params, start, 0.5, 1e-2)
+            assert same_bits(got.states, ref.states), (name, params)
+            po = perturbation_oracle(model, params, point, W, t_end=0.5, dt=1e-2)
+            fresh = perturbation_oracle(builtin(name), params, point, W, t_end=0.5, dt=1e-2)
+            assert same_bits(po.states, fresh.states), (name, params)
 
 
 def test_rest_start_below_the_guard_floor_aborts_at_the_reference_time():
@@ -830,6 +889,36 @@ def test_block_csv_matches_row_by_row(tmp_path, nrows):
         ["t", *tr.names], np.column_stack([tr.times, states]), tmp_path / "ref.csv"
     )
     assert (tmp_path / "trace.csv").read_bytes() == expect
+
+
+@pytest.mark.parametrize("nrows", [511, 512, 513])
+def test_csv_bytes_match_csv_writer_on_random_bit_patterns(tmp_path, nrows):
+    # any 64-bit pattern, at a block's edge: NaNs with payloads and either
+    # sign, -0.0, subnormals and infinities among them
+    rng = np.random.default_rng(nrows)
+    values = rng.integers(0, 2 ** 64, size=(nrows, 4), dtype=np.uint64, endpoint=False)
+    special = np.array([
+        0x7FF0000000000001, 0xFFF8000000000123, 0x7FF4DEADBEEF0000, 0xFFFFFFFFFFFFFFFF,
+        0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0008000000000000,
+        0x7FF0000000000000, 0xFFF0000000000000,
+    ], dtype=np.uint64)
+    at = rng.choice(values.size, size=8 * len(special), replace=False)
+    values.flat[at] = np.tile(special, 8)
+    values = values.view(np.float64)
+    assert np.isnan(values).any() and np.isinf(values).any()
+
+    tr = Trace(times=values[:, 0], states=values[:, 1:], names=("x,1", 'y"1', "z"),
+               dt=None, method="rk4")
+    write_trace_csv(tr, tmp_path / "trace.csv")
+    expect = csv_writer_bytes(["t", *tr.names], values, tmp_path / "ref.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == expect
+    assert expect.startswith(b't,"x,1","y""1",z\r\n')
+
+    prof = FocusingProfile(times=values[:, 0], norm_sq=values[:, 1], t_sq=values[:, 2],
+                           verdict=MIXED)
+    write_profile_csv(prof, tmp_path / "prof.csv")
+    expect = csv_writer_bytes(["t", "norm_sq", "t_sq"], values[:, :3], tmp_path / "ref.csv")
+    assert (tmp_path / "prof.csv").read_bytes() == expect
 
 
 # The benchmark's seeded start points (seed 104729), run for 2k steps; the
