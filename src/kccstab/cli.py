@@ -24,9 +24,7 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .expr import ExprError, to_float
+from .expr import ExprError, lazy_numpy, to_float
 from .kcc import ModelError, invariants, kcc_deviation
 from .models import BUILTIN_NAMES, ascii_number, builtin, load, parse_rational
 from .numerics import (
@@ -53,6 +51,8 @@ from .stability import (
     Classifier,
     find_fixed_points,
 )
+
+np = lazy_numpy()  # numpy runs on its first numeric use
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -544,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, formats=None, out_help="output directory for CSV files (default .)")
     p.add_argument("--x0", required=True, help="initial position x1,...,xn")
     p.add_argument("--y0", default="", help="initial velocity (default zeros)")
-    p.add_argument("--w", default="", help="deviation direction for xi'(0)")
+    p.add_argument("--w", default="", help="deviation direction for xi'(0); the deviation is integrated with "
+                   "A21 and A22 frozen at (x0, y = 0), not along the trajectory, so --y0 does not affect it")
     p.add_argument("--t-end", type=_ascii(float), default=10.0, dest="t_end")
     p.add_argument("--dt", type=_ascii(float), default=1e-3)
     p.add_argument("--t-probe", type=_ascii(float), default=DEFAULT_PROBE_WINDOW, dest="t_probe")

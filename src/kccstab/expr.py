@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import importlib.util
 import math
 import operator
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -731,6 +733,16 @@ def exec_generated(src: str, name: str, namespace: dict) -> Callable:
         raise ExprError("expression nested too deeply to compile") from None
     exec(code, namespace)
     return namespace[name]
+
+
+def lazy_numpy():
+    """numpy as loaded, or else registered to execute on its first attribute access."""
+    np = sys.modules.get("numpy")
+    if np is None and (spec := importlib.util.find_spec("numpy")) is not None:
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        np = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(np)
+    return np or importlib.import_module("numpy")  # a missing or blocked numpy raises here
 
 
 _P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = range(1, 6)  # emitted Python precedence

@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .expr import (
     Add,
     Div,
@@ -41,6 +39,7 @@ from .expr import (
     det,
     differentiate,
     div,
+    lazy_numpy,
     mul,
     p_diff,
     p_primitive,
@@ -50,6 +49,8 @@ from .expr import (
     substitute,
     to_float,
 )
+
+np = lazy_numpy()  # numpy runs on its first numeric use
 
 
 class ModelError(Exception):

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
-from .expr import Constant, _emit, _too_deep, canonicalize, exec_generated, mul, p_to_expr
+from .expr import Constant, _emit, _too_deep, canonicalize, exec_generated, lazy_numpy, mul, p_to_expr
 from .kcc import Model, ModelError
+
+np = lazy_numpy()  # numpy runs on its first numeric use
 
 DEFAULT_PROBE_WINDOW = 0.5
 DEFAULT_PROBE_SAMPLES = 100

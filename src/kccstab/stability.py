@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .expr import (
     BudgetExceededError,
     CanonicalRational,
@@ -33,6 +31,7 @@ from .expr import (
     canonicalize,
     char_poly,
     det,
+    lazy_numpy,
     p_const,
     p_exquo,
     p_gcd,
@@ -43,6 +42,8 @@ from .expr import (
     substitute,
 )
 from .kcc import Model, ModelError
+
+np = lazy_numpy()  # numpy runs on its first numeric use
 
 DEFAULT_BOX_HALFWIDTH = 10.0
 DEFAULT_SEEDS_PER_AXIS = 9

@@ -275,6 +275,37 @@ def test_symbolic_reports_are_byte_stable(capsys, argv, size, digest):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+def test_symbolic_subcommands_never_load_numpy():
+    """In a fresh interpreter, `invariants`, `deviation` without `--point`,
+    `conditions` and `region` leave numpy unexecuted; `deviation --point`
+    then loads it and prints the pinned bytes."""
+    runs = [["invariants", "--model", "airfoil"], ["deviation", *AIRFOIL_1],
+            ["conditions", *WS], ["region", *AIRFOIL_1], ["deviation", *AIRFOIL_1, "--point", "0,0"]]
+    script = """
+import contextlib, io, json, sys
+from kccstab.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    results.append([rc, any(m.startswith('numpy.') for m in sys.modules), out.getvalue()])
+print(json.dumps(results))
+"""
+    src = Path(kccstab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert [(rc, loaded) for rc, loaded, _ in results] == [(0, False)] * 4 + [(0, True)]
+    pinned = {tuple(argv): (size, digest) for argv, size, digest in REPORT_DIGESTS}
+    for argv, (_, _, out) in zip(runs, results):
+        if tuple(argv) in pinned:
+            data = out.encode()
+            assert (len(data), hashlib.sha256(data).hexdigest()) == pinned[tuple(argv)]
+    assert tuple(runs[-1]) in pinned
+
+
 def test_conditions_budget_exhaustion_exit(capsys):
     rc, _, err = run(capsys, ["conditions", *WS, "--budget", "10"])
     assert rc == 2
