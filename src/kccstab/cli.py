@@ -236,8 +236,7 @@ def _tensor(name: str, entries, index: str = ""):
     return lines, strings
 
 
-def cmd_invariants(args) -> int:
-    model = _load_model(args.model)
+def cmd_invariants(args, model, params) -> int:
     inv = invariants(model)
     lines = [f"model: {model.name} (n = {model.n})"]
     obj = {"model": model.name, "n": model.n}
@@ -253,9 +252,7 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def cmd_deviation(args) -> int:
-    model = _load_model(args.model)
-    params = _parse_params(args.params)
+def cmd_deviation(args, model, params) -> int:
     point = _parse_vector(args.point, "--point", model.n) if args.point else None
     dev = kcc_deviation(model)
     lines = list(dev.equations())
@@ -273,9 +270,7 @@ def cmd_deviation(args) -> int:
     return EXIT_OK
 
 
-def cmd_fixed_points(args) -> int:
-    model = _load_model(args.model)
-    params = _parse_params(args.params)
+def cmd_fixed_points(args, model, params) -> int:
     fps = find_fixed_points(
         model, params, box=_parse_box(args.box, model.n), seeds=_check_seeds(args.seeds)
     )
@@ -320,9 +315,7 @@ def _region_line(args, params):
         return None
 
 
-def cmd_classify(args) -> int:
-    model = _load_model(args.model)
-    params = _parse_params(args.params)
+def cmd_classify(args, model, params) -> int:
     seeds = _check_seeds(args.seeds)
     tol = args.tol
     if not 0 <= tol < math.inf:  # also rejects nan
@@ -374,11 +367,9 @@ def cmd_classify(args) -> int:
     return EXIT_INDETERMINATE if indeterminate else EXIT_OK
 
 
-def cmd_conditions(args) -> int:
+def cmd_conditions(args, model, params) -> int:
     if args.budget < 1:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
-    model = _load_model(args.model)
-    params = _parse_params(args.params)
     sys_ = assemble_semialgebraic(model, params, budget=args.budget)
     conditions = sys_.render()
     lines = [f"variables: {', '.join(sys_.vars)}", *conditions]
@@ -387,9 +378,7 @@ def cmd_conditions(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    model = _load_model(args.model)
-    params = _parse_params(args.params)
+def cmd_simulate(args, model, params) -> int:
     n = model.n
     x0 = _parse_vector(args.x0, "--x0")
     y0 = _parse_vector(args.y0, "--y0") if args.y0 else [0.0] * n
@@ -426,9 +415,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_focusing(args) -> int:
-    model = _load_model(args.model)
-    params = _parse_params(args.params)
+def cmd_focusing(args, model, params) -> int:
     point = _parse_vector(args.point, "--point", model.n)
     W = _parse_w(args.w, model.n)
     if not 0 < args.t_probe < math.inf or args.samples < 3:  # also rejects nan
@@ -461,11 +448,9 @@ def cmd_focusing(args) -> int:
     return EXIT_OK
 
 
-def cmd_region(args) -> int:
-    model = _load_model(args.model)
+def cmd_region(args, model, params) -> int:
     if args.model != "airfoil":  # the built-in, as in _region_line
         raise ModelError("region reports are defined for the airfoil model only")
-    params = _parse_params(args.params)
     try:
         minf, v = params["Minf"], params["V"]
     except KeyError as e:
@@ -574,7 +559,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        # every subcommand's inputs in one order: the model, then --params
+        # (invariants has none), then the subcommand's own flags
+        model = _load_model(args.model)
+        code = args.func(args, model, _parse_params(getattr(args, "params", "")))
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except SystemExit as e:

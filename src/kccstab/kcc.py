@@ -158,6 +158,7 @@ class KccInvariants:
     berwald  Berwald connection              G^i_{jl} = dN^i_j/dy_l
     epsilon  first invariant                 eps^i = 2 G^i - N^i_j y_j
     A21      position deviation block        A21^i_j = -2 dG^i/dx_j
+    A22      velocity deviation block        A22^i_j = -2 N^i_j
     P        deviation curvature tensor (second invariant), A21 its first term
     torsion  third invariant                 P^i_{jk} antisymmetric in (j,k)
     riemann  fourth invariant                P^i_{jkl} = dP^i_{jk}/dy_l
@@ -175,6 +176,7 @@ class KccInvariants:
             for i in range(n)
         ]
         self.A21 = [[mul(-2, differentiate(G[i], xs[j])) for j in range(n)] for i in range(n)]
+        self.A22 = [[mul(-2, e) for e in row] for row in self.N]
         self.P = [
             [
                 add(
@@ -236,17 +238,17 @@ class DeviationSystem:
 
     A21 = -2 dG/dx and A22 = -2 N, both n x n symbolic matrices; `block`
     is the 2n x 2n first-order form [[0, E], [A21, A22]].  The blocks are
-    derived once per model and kept in `model.compiled`, A22 from the
-    invariants' N; `at_point` reads their values from `model.compiled.at`.
+    copies of those of the model's invariants, derived once and kept in
+    `model.compiled`; `at_point` reads their values from `model.compiled.at`.
     """
 
     __slots__ = ("model", "A21", "A22")
 
     def __init__(self, model: Model):
         self.model = model
-        A21, A22 = model.compiled.deviation_blocks
-        self.A21 = [list(row) for row in A21]
-        self.A22 = [list(row) for row in A22]
+        inv = model.compiled.invariants
+        self.A21 = [list(row) for row in inv.A21]
+        self.A22 = [list(row) for row in inv.A22]
 
     @property
     def n(self) -> int:
@@ -301,8 +303,8 @@ class CompiledModel:
     once and each evaluator is compiled once; each part is built when first
     asked for:
 
-    invariants        the KccInvariants of the model
-    deviation_blocks  symbolic (A21, A22) = (-2 dG/dx, -2 N)
+    invariants        the KccInvariants of the model, with the deviation
+                      blocks A21 and A22
     state             P, A21 and A22, 3*n*n entries row-major, as a function
                       of `xs + ys + params` as floats; `at` runs it
     fixed_points      the FixedPointSystem: G at y = 0 and its divisors as
@@ -327,14 +329,9 @@ class CompiledModel:
         return invariants(self.model)
 
     @cached_property
-    def deviation_blocks(self) -> tuple[list[list[Expr]], list[list[Expr]]]:
-        inv = self.invariants
-        return inv.A21, [[mul(-2, e) for e in row] for row in inv.N]
-
-    @cached_property
     def state(self) -> Callable:
         inv, m = self.invariants, self.model
-        entries = [e for M in (inv.P, *self.deviation_blocks) for row in M for e in row]
+        entries = [e for M in (inv.P, inv.A21, inv.A22) for row in M for e in row]
         return compile_callable(entries, m.xs + m.ys + m.params)
 
     @cached_property

@@ -148,10 +148,6 @@ def parse_rational(text: str) -> Fraction:
         raise ModelError(f"invalid rational literal {text!r}") from exc
 
 
-def _err(lineno: int, msg: str) -> ModelError:
-    return ModelError(f"line {lineno}: {msg}")
-
-
 # mode -> (the assignment kinds it reads, the error for any other kind)
 _MODES = {
     "kcc": (("G",), "M[i][j]/f[i] lines are only valid in linear-accel mode"),
@@ -170,6 +166,10 @@ def loads(text: str, *, source: str = "<string>") -> Model:
     # canonical name (G1, M[1][2], f[3]) -> (kind, indices, expression)
     assigns: dict[str, tuple[str, tuple[int, ...], Expr]] = {}
 
+    def err(message: str, *col: int) -> ModelError:
+        """The error at the line being read: `<source>:<line>[:<col>]: message`."""
+        return ModelError(":".join(map(str, (source, lineno, *col))) + f": {message}")
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -178,62 +178,61 @@ def loads(text: str, *, source: str = "<string>") -> Model:
         if m:
             rhs = m.group("rhs")
             if not rhs.strip():
-                raise _err(lineno, "missing expression after '='")
+                raise err("missing expression after '='")
             try:
                 e = parse(rhs)
             except ParseError as exc:
-                col = exc.col + m.start("rhs")
-                raise ModelError(f"{source}:{lineno}:{col}: {exc.reason}") from exc
+                raise err(exc.reason, exc.col + m.start("rhs")) from exc
             names = [g for g in ("gi", "mi", "mj", "fi") if m.group(g)]
             kind, idx = {"gi": "G", "mi": "M", "fi": "f"}[names[0]], ()
             for g in names:
                 try:
                     idx += (int(m.group(g)),)
                 except ValueError:  # more digits than the interpreter converts to an int
-                    raise ModelError(f"{source}:{lineno}:{m.start(g) + 1}: index has too many digits") from None
+                    raise err("index has too many digits", m.start(g) + 1) from None
             key = _KEY[kind].format(*idx)
             if key in assigns:
-                raise _err(lineno, f"duplicate {key}")
+                raise err(f"duplicate {key}")
             assigns[key] = (kind, idx, e)
             continue
         tokens = line.split()
         head, rest = tokens[0], tokens[1:]
         if head == "model":
             if name is not None:
-                raise _err(lineno, "duplicate 'model' line")
+                raise err("duplicate 'model' line")
             if len(rest) != 1:
-                raise _err(lineno, "'model' takes exactly one name")
+                raise err("'model' takes exactly one name")
             name = rest[0]
         elif head == "mode":
             if mode is not None:
-                raise _err(lineno, "duplicate 'mode' line")
+                raise err("duplicate 'mode' line")
             if len(rest) != 1 or rest[0] not in _MODES:
-                raise _err(lineno, "mode must be 'kcc' or 'linear-accel'")
+                raise err("mode must be 'kcc' or 'linear-accel'")
             mode = rest[0]
         elif head == "params":
             for tok in rest:
                 pname, _, val = tok.partition("=")
                 if not _IDENT_RE.match(pname):
-                    raise _err(lineno, f"invalid parameter name {pname!r}")
+                    raise err(f"invalid parameter name {pname!r}")
                 if pname in params:
-                    raise _err(lineno, f"duplicate parameter {pname!r}")
+                    raise err(f"duplicate parameter {pname!r}")
                 params.append(pname)
                 if val:
                     try:
                         defaults[pname] = parse_rational(val)
                     except ModelError as exc:
-                        raise _err(lineno, str(exc)) from exc
+                        raise err(str(exc)) from exc
         elif head == "vars":
             if xs is not None:
-                raise _err(lineno, "duplicate 'vars' line")
+                raise err("duplicate 'vars' line")
             if not rest:
-                raise _err(lineno, "'vars' needs at least one name")
+                raise err("'vars' needs at least one name")
             for v in rest:
                 if not _IDENT_RE.match(v):
-                    raise _err(lineno, f"invalid variable name {v!r}")
+                    raise err(f"invalid variable name {v!r}")
             xs = rest
         else:
-            raise _err(lineno, f"unrecognized directive {head!r}")
+            raise err(f"unrecognized directive {head!r}")
 
     if name is None:
         raise ModelError(f"{source}: missing 'model' line")

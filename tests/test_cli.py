@@ -358,6 +358,37 @@ def test_params_names_are_checked(capsys, command, params, code, message):
     assert_one_line_error(err, message)
 
 
+# each subcommand that reads --params, with the flags it needs and one flag
+# that its own check rejects
+FLAG_ERRORS = {
+    "deviation": ["--point", "1"],
+    "fixed-points": ["--seeds", "2"],
+    "classify": ["--seeds", "2"],
+    "conditions": ["--budget", "0"],
+    "simulate": ["--x0", "0,0", "--dt", "0"],
+    "focusing": ["--point", "0,0", "--samples", "2"],
+    "region": [],
+}
+
+
+@pytest.mark.parametrize("command", FLAG_ERRORS)
+def test_inputs_are_checked_model_first(capsys, tmp_path, command):
+    missing = str(tmp_path / "nonexistent.kcc")
+    argv = [command, "--model", missing, "--params", "junk", *FLAG_ERRORS[command]]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"kccstab: model error: unknown model {missing!r}")
+    assert_one_line_error(err, "not a model file")
+
+
+@pytest.mark.parametrize("command, model", [
+    *((command, "airfoil") for command in FLAG_ERRORS), ("region", "wound_strings"),
+])
+def test_params_are_checked_before_flags(capsys, command, model):
+    rc, out, err = run(capsys, [command, "--model", model, "--params", "junk", *FLAG_ERRORS[command]])
+    assert (rc, out, err) == (1, "", "kccstab: error: bad --params entry 'junk': expected name=value\n")
+
+
 # ---------------------------------------------------------------------------
 # numerical subcommands
 
@@ -872,6 +903,32 @@ def test_bad_model_file_reports_position(capsys, tmp_path):
     rc, _, err = run(capsys, ["invariants", "--model", str(bad)])
     assert rc == 2
     assert "bad.kcc:3:" in err
+
+
+DIRECTIVE_ERRORS = [
+    ("model d\nvars x1\nG1 =\n", 3, "missing expression after '='"),
+    ("model d\nvars x1\nG1 = x1\nG1 = 1\n", 4, "duplicate G1"),
+    ("model d\nmodel e\nvars x1\nG1 = x1\n", 2, "duplicate 'model' line"),
+    ("model d e\nvars x1\nG1 = x1\n", 1, "'model' takes exactly one name"),
+    ("model d\nmode kcc\nmode kcc\nvars x1\nG1 = x1\n", 3, "duplicate 'mode' line"),
+    ("model d\nmode fast\nvars x1\nG1 = x1\n", 2, "mode must be 'kcc' or 'linear-accel'"),
+    ("model d\nparams 1x\nvars x1\nG1 = x1\n", 2, "invalid parameter name '1x'"),
+    ("model d\nparams k k\nvars x1\nG1 = k*x1\n", 2, "duplicate parameter 'k'"),
+    ("model d\nparams k=1/0\nvars x1\nG1 = k*x1\n", 2, "invalid rational literal '1/0'"),
+    ("model d\nvars x1\nvars x2\nG1 = x1\n", 3, "duplicate 'vars' line"),
+    ("model d\nvars\nG1 = 1\n", 2, "'vars' needs at least one name"),
+    ("model d\nvars x1 $\nG1 = x1\n", 2, "invalid variable name '$'"),
+    ("model d\nvar x1\nG1 = x1\n", 2, "unrecognized directive 'var'"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", DIRECTIVE_ERRORS,
+                         ids=[message for _, _, message in DIRECTIVE_ERRORS])
+def test_directive_errors_name_the_file_and_line(capsys, tmp_path, text, line, message):
+    path = tmp_path / "q.kcc"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["classify", "--model", str(path)])
+    assert (rc, out, err) == (2, "", f"kccstab: model error: {path}:{line}: {message}\n")
 
 
 def test_linear_accel_model_beyond_four_positions(capsys, tmp_path):

@@ -405,7 +405,8 @@ def _subresultant_gcd(p, q):
 def test_gcd_matches_sympy(data):
     """p_gcd(f h, g h) divides both, equals sympy's gcd up to a constant and
     leaves coprime cofactors (integer content included); in 1-3 variables,
-    where p_gcd takes GCDHEU, the subresultant sequence gives the same gcd."""
+    where p_gcd takes GCDHEU, the subresultant sequence gives the same gcd,
+    as does p_gcd when GCDHEU gives up and falls back to that sequence."""
     sympy = pytest.importorskip("sympy")
     n = data.draw(st.integers(1, 4))
     f, g, h = (data.draw(_factors(n)) for _ in range(3))
@@ -414,6 +415,12 @@ def test_gcd_matches_sympy(data):
     gcd = p_gcd(a, b)
     if n <= expr.HEU_GCD_MAX_VARIABLES:
         assert gcd == _subresultant_gcd(a, b)
+        saved = expr._HEU_GCD_TRIES
+        expr._HEU_GCD_TRIES = 0
+        try:
+            assert p_gcd(a, b) == gcd
+        finally:
+            expr._HEU_GCD_TRIES = saved
     ca, cb = p_exquo(a, gcd), p_exquo(b, gcd)
     assert p_mul(gcd, ca) == a and p_mul(gcd, cb) == b
     assert max(gcd.items(), key=lambda t: (sum(t[0]), t[0]))[1] > 0

@@ -162,7 +162,7 @@ def test_load_errors(text, fragment):
 
 
 def test_parse_error_carries_position():
-    with pytest.raises(ModelError, match=r"line 2: invalid variable name"):
+    with pytest.raises(ModelError, match=r"^bad:2: invalid variable name"):
         loads("model d\nvars x1 $\nG1 = x1\n", source="bad")
     with pytest.raises(ModelError, match=r"bad:3:"):
         loads("model d\nvars x1\nG1 = x1 +\n", source="bad")

@@ -124,3 +124,16 @@ def test_test_extra_lists_every_optional_test_import():
         found = re.findall(r'importorskip\("([\w.]+)"', path.read_text(encoding="utf-8"))
         targets |= {target.split(".")[0] for target in found}
     assert {"sympy", "scipy", "tomli"} <= targets <= listed
+
+
+def test_chain_model_matches_the_benchmark():
+    # the tests' chain model is the benchmark's; read perfbench's function
+    # from its source, so that the tests never import the benchmark harness
+    from shared_data import chain_model_text
+
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "chain_model_text"]
+    namespace = {}
+    exec(compile(ast.Module(body=[node], type_ignores=[]), "workloads.py", "exec"), namespace)
+    for n in range(1, 8):
+        assert chain_model_text(n) == namespace["chain_model_text"](n), n

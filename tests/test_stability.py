@@ -452,6 +452,16 @@ def test_singular_seeds_fail_alone():
         assert rep.verdict == verdict
 
 
+def test_overflowing_seeds_fail_alone():
+    # At the seeds x2 = +-10 of the default 9-point grid on [-10, 10],
+    # 10^300 x2^9 overflows to inf: those seeds fail, the rest converge.
+    m = loads("model ovf\nvars x1 x2\nG1 = x1 - 1\nG2 = 10^300*x2^9 + x2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fps = find_fixed_points(m)
+    assert [fp.point for fp in fps] == [(1, 0)]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("draw", range(3))
 def test_dedup_keeps_the_first_seed_of_each_root(chains, monkeypatch, n, draw):
@@ -660,11 +670,11 @@ def test_state_evaluator_matches_each_matrix_compiled_alone(oracle_models):
     # have the float operations it has when its matrices are compiled alone
     rng = random.Random(104729)
     for name, m in oracle_models.items():
-        compiled = m.compiled
+        compiled, inv = m.compiled, m.compiled.invariants
         names = m.xs + m.ys + m.params
         alone = [
             compile_callable([e for M in matrices for row in M for e in row], names)
-            for matrices in ((compiled.invariants.P,), compiled.deviation_blocks)
+            for matrices in ((inv.P,), (inv.A21, inv.A22))
         ]
         for _ in range(25):
             params = [rng.uniform(0.25, 4) for _ in m.params]
@@ -694,11 +704,15 @@ def test_model_derives_and_compiles_once(monkeypatch):
     # then the state evaluator of the 2 x 2 matrices P, A21 and A22; nothing
     # is compiled per parameter point
     assert compiled == [6, 2, 12]
-    # the higher invariants and the deviation blocks are derived once too
+    # the higher invariants are derived once too
     inv = af.compiled.invariants
     for name in ("torsion", "riemann", "douglas"):
         assert getattr(inv, name) is getattr(inv, name)
-    assert af.compiled.deviation_blocks is af.compiled.deviation_blocks
+    # a deviation system holds copies of the blocks: editing them leaves
+    # the invariants as they are
+    dev = kcc_deviation(af)
+    dev.A21[0][0] = dev.A22[0][0] = None
+    assert None not in inv.A21[0] + inv.A22[0]
     assert built == [af]
 
 
