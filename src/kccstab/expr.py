@@ -122,7 +122,7 @@ class Constant(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: Number):
-        self.value = Fraction(value)
+        self.value = value if type(value) is Fraction else Fraction(value)
 
     def key(self):
         return ("c", self.value)
@@ -198,19 +198,22 @@ def as_expr(v) -> Expr:
 
 def add(*terms) -> Expr:
     flat: list[Expr] = []
-    const = Fraction(0)
-    for t in map(as_expr, terms):
-        if isinstance(t, Add):
+    const = 0  # a Fraction once a constant term appears
+    for t in terms:
+        if not isinstance(t, Expr):
+            t = as_expr(t)
+        kind = type(t)
+        if kind is Add:
             for a in t.args:
-                if isinstance(a, Constant):
+                if type(a) is Constant:
                     const += a.value
                 else:
                     flat.append(a)
-        elif isinstance(t, Constant):
+        elif kind is Constant:
             const += t.value
         else:
             flat.append(t)
-    if const != 0:
+    if const:
         flat.insert(0, Constant(const))
     if not flat:
         return ZERO
@@ -221,21 +224,24 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     flat: list[Expr] = []
-    const = Fraction(1)
-    for f in map(as_expr, factors):
-        if isinstance(f, Mul):
+    const = None  # the product of the constant factors, once one appears
+    for f in factors:
+        if not isinstance(f, Expr):
+            f = as_expr(f)
+        kind = type(f)
+        if kind is Mul:
             for a in f.args:
-                if isinstance(a, Constant):
-                    const *= a.value
+                if type(a) is Constant:
+                    const = a.value if const is None else const * a.value
                 else:
                     flat.append(a)
-        elif isinstance(f, Constant):
-            const *= f.value
+        elif kind is Constant:
+            const = f.value if const is None else const * f.value
         else:
             flat.append(f)
     if const == 0:
         return ZERO
-    if const != 1:
+    if const is not None and const != 1:
         flat.insert(0, Constant(const))
     if not flat:
         return ONE
@@ -365,13 +371,14 @@ def collect_symbols(e: Expr, into: set[str] | None = None) -> set[str]:
     stack = [e]
     while stack:
         n = stack.pop()
-        if isinstance(n, Symbol):
+        kind = type(n)
+        if kind is Symbol:
             out.add(n.name)
-        elif isinstance(n, (Add, Mul)):
+        elif kind is Add or kind is Mul:
             stack.extend(n.args)
-        elif isinstance(n, Pow):
+        elif kind is Pow:
             stack.append(n.base)
-        elif isinstance(n, Div):
+        elif kind is Div:
             stack.append(n.num)
             stack.append(n.den)
     return out
@@ -574,53 +581,55 @@ def parse(src: str) -> Expr:
 
 
 def differentiate(e: Expr, name: str) -> Expr:
-    if isinstance(e, Constant):
+    kind = type(e)
+    if kind is Constant:
         return ZERO
-    if isinstance(e, Symbol):
+    if kind is Symbol:
         return ONE if e.name == name else ZERO
-    if isinstance(e, Add):
+    if kind is Add:
         return add(*[differentiate(a, name) for a in e.args])
-    if isinstance(e, Mul):
+    if kind is Mul:
         terms = []
         for i, f in enumerate(e.args):
             df = differentiate(f, name)
-            if isinstance(df, Constant) and df.value == 0:
+            if type(df) is Constant and not df.value:
                 continue
             terms.append(mul(*e.args[:i], df, *e.args[i + 1:]))
         return add(*terms)
-    if isinstance(e, Pow):
+    if kind is Pow:
         db = differentiate(e.base, name)
-        if isinstance(db, Constant) and db.value == 0:
+        if type(db) is Constant and not db.value:
             return ZERO
         return mul(Constant(e.exp), pow_(e.base, e.exp - 1), db)
-    if isinstance(e, Div):
+    if kind is Div:
         dn = differentiate(e.num, name)
         dd = differentiate(e.den, name)
-        if isinstance(dd, Constant) and dd.value == 0:
+        if type(dd) is Constant and not dd.value:
             return div(dn, e.den)
         return div(sub(mul(dn, e.den), mul(e.num, dd)), pow_(e.den, 2))
-    raise TypeError(type(e))  # pragma: no cover
+    raise TypeError(kind)  # pragma: no cover
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr | Number]) -> Expr:
-    if isinstance(e, Constant):
+    kind = type(e)
+    if kind is Constant:
         return e
-    if isinstance(e, Symbol):
+    if kind is Symbol:
         v = mapping.get(e.name)
         return e if v is None else as_expr(v)
-    if isinstance(e, Add):
+    if kind is Add:
         return add(*[substitute(a, mapping) for a in e.args])
-    if isinstance(e, Mul):
+    if kind is Mul:
         return mul(*[substitute(a, mapping) for a in e.args])
-    if isinstance(e, Pow):
+    if kind is Pow:
         return pow_(substitute(e.base, mapping), e.exp)
-    if isinstance(e, Div):
+    if kind is Div:
         num = substitute(e.num, mapping)
         den = substitute(e.den, mapping)
-        if isinstance(den, Constant) and den.value == 0:
+        if type(den) is Constant and not den.value:
             raise ZeroDenominatorError(e.den, "after substitution")
         return div(num, den)
-    raise TypeError(type(e))  # pragma: no cover
+    raise TypeError(kind)  # pragma: no cover
 
 
 def evaluate(e: Expr, binding: Mapping[str, Number | float]) -> Fraction | float:
@@ -829,6 +838,12 @@ def p_neg(p: Poly) -> Poly:
 def p_mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return {}
+    # a constant side scales the other, whose term order the product keeps
+    for const, other in ((q, p), (p, q)):
+        if len(const) == 1:
+            (m, c), = const.items()
+            if not any(m):
+                return dict(other) if c == 1 else {m2: c * c2 for m2, c2 in other.items()}
     out: Poly = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -909,12 +924,7 @@ class ParameterBinder:
 
 
 def p_content(p: Poly) -> int:
-    g = 0
-    for c in p.values():
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            break
-    return g
+    return math.gcd(*p.values())
 
 
 def p_primitive(p: Poly) -> Poly:
@@ -941,7 +951,7 @@ def _exquo(p: Poly, q: Poly) -> Poly | None:
         return {}
     mq, cq = p_leading(q)
     # each quotient degree is deg p - deg q, variable by variable
-    room = [max(m[i] for m in p) - max(m[i] for m in q) for i in range(len(mq))]
+    room = list(map(operator.sub, map(max, zip(*p)), map(max, zip(*q))))
     rest, out = dict(p), {}
     while rest:
         m, c = p_leading(rest)
@@ -977,12 +987,12 @@ def p_gcd(p: Poly, q: Poly) -> Poly:
         g = p or q
     else:
         nv = len(next(iter(p)))
-        lows = [[min(m[i] for m in f) for i in range(nv)] for f in (p, q)]
+        lows = [list(map(min, zip(*f))) for f in (p, q)]
         if any(map(any, lows)):
             p, q = ({tuple(a - b for a, b in zip(m, low)): c for m, c in f.items()}
                     for f, low in zip((p, q), lows))
             return p_mul({tuple(map(min, *lows)): 1}, p_gcd(p, q))
-        degrees = [(max(m[i] for m in p), max(m[i] for m in q)) for i in range(nv)]
+        degrees = list(zip(map(max, zip(*p)), map(max, zip(*q))))
         live = [i for i in range(nv) if any(degrees[i])]
         if not all(map(any, zip(*degrees))):  # p or q is a constant
             return p_const(math.gcd(p_content(p), p_content(q)), nv)
@@ -1326,13 +1336,14 @@ def canonicalize(e: Expr, order: Sequence[str] | None = None) -> CanonicalRation
 
 def _to_pair(e: Expr, index: Mapping[str, int], nv: int) -> tuple[Poly, Poly]:
     one = p_const(1, nv)
-    if isinstance(e, Constant):
+    kind = type(e)
+    if kind is Constant:
         return p_const(e.value.numerator, nv), p_const(e.value.denominator, nv)
-    if isinstance(e, Symbol):
+    if kind is Symbol:
         m = [0] * nv
         m[index[e.name]] = 1
         return {tuple(m): 1}, one
-    if isinstance(e, Add):
+    if kind is Add:
         num, den = _to_pair(e.args[0], index, nv)
         for a in e.args[1:]:
             n2, d2 = _to_pair(a, index, nv)
@@ -1343,7 +1354,7 @@ def _to_pair(e: Expr, index: Mapping[str, int], nv: int) -> tuple[Poly, Poly]:
                 den = p_mul(den, d2)
             num, den = _reduce_pair(num, den, nv)
         return num, den
-    if isinstance(e, Mul):
+    if kind is Mul:
         num, den = one, one
         for a in e.args:
             n2, d2 = _to_pair(a, index, nv)
@@ -1351,7 +1362,7 @@ def _to_pair(e: Expr, index: Mapping[str, int], nv: int) -> tuple[Poly, Poly]:
             den = p_mul(den, d2)
             num, den = _reduce_pair(num, den, nv)
         return num, den
-    if isinstance(e, Pow):
+    if kind is Pow:
         n, d = _to_pair(e.base, index, nv)
         if e.exp < 0:
             if not n:
@@ -1359,13 +1370,13 @@ def _to_pair(e: Expr, index: Mapping[str, int], nv: int) -> tuple[Poly, Poly]:
             n, d = d, n
             return p_pow(n, -e.exp, nv), p_pow(d, -e.exp, nv)
         return p_pow(n, e.exp, nv), p_pow(d, e.exp, nv)
-    if isinstance(e, Div):
+    if kind is Div:
         n1, d1 = _to_pair(e.num, index, nv)
         n2, d2 = _to_pair(e.den, index, nv)
         if not n2:
             raise ZeroDenominatorError(e.den)
         return _reduce_pair(p_mul(n1, d2), p_mul(d1, n2), nv)
-    raise TypeError(type(e))  # pragma: no cover
+    raise TypeError(kind)  # pragma: no cover
 
 
 def _reduce_pair(num: Poly, den: Poly, nv: int) -> tuple[Poly, Poly]:

@@ -145,8 +145,9 @@ def find_fixed_points(
     written that involves a position (see `FixedPointSystem.bind`),
     stays above DEFAULT_DENOM_MARGIN in magnitude, and the true residual
     max_i |G_i| is below DEFAULT_RESIDUAL_SCALE * (1 + |x|).  Duplicates
-    within DEFAULT_DEDUP_RADIUS (max-norm) collapse, earlier seeds first, by
-    vector comparisons (`_first_of_each_root`); results sort lexicographically.
+    within DEFAULT_DEDUP_RADIUS (max-norm) collapse, earlier seeds first, each
+    kept one compared only with a window of the candidates sorted on x_1
+    (`_first_of_each_root`); results sort lexicographically.
 
     The pairs and divisor numerators are those `conditions` prints, from
     `model.compiled.fixed_points.bind` at `model.binding(params)`, evaluated
@@ -202,12 +203,20 @@ def find_fixed_points(
 
 
 def _first_of_each_root(x: np.ndarray) -> list[int]:
-    """Indices of the rows of x that no earlier kept row is within
-    DEFAULT_DEDUP_RADIUS of (max-norm): one array comparison per kept row."""
-    kept, alive = [], np.arange(len(x))
-    while len(alive):
-        kept.append(alive[0])
-        alive = alive[1:][np.abs(x[alive[1:]] - x[alive[0]]).max(axis=1) > DEFAULT_DEDUP_RADIUS]
+    """Indices of the rows of x that no earlier kept row is within DEFAULT_DEDUP_RADIUS
+    of (max-norm), each kept row compared only with the rows whose x_1 is within twice the
+    radius of its own: a row within the radius is within it in x_1, twice absorbs rounding."""
+    order = np.argsort(x[:, 0], kind="stable")
+    first = x[order, 0]
+    lo = np.searchsorted(first, x[:, 0] - 2 * DEFAULT_DEDUP_RADIUS, side="left").tolist()
+    hi = np.searchsorted(first, x[:, 0] + 2 * DEFAULT_DEDUP_RADIUS, side="right").tolist()
+    kept, dead = [], [False] * len(x)
+    for i in range(len(x)):
+        if not dead[i]:
+            kept.append(i)
+            near = order[lo[i]:hi[i]]
+            for j in near[np.abs(x[near] - x[i]).max(axis=1) <= DEFAULT_DEDUP_RADIUS].tolist():
+                dead[j] = True
     return kept
 
 

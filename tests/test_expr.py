@@ -3,6 +3,7 @@
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,6 +322,166 @@ def test_derivative_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# the constructors and tree walks against isinstance-based references that
+# fold constants in Fractions from the start
+
+
+def _reference_add(*terms):
+    flat, const = [], Fraction(0)
+    for t in map(expr.as_expr, terms):
+        if isinstance(t, Add):
+            for a in t.args:
+                if isinstance(a, Constant):
+                    const += a.value
+                else:
+                    flat.append(a)
+        elif isinstance(t, Constant):
+            const += t.value
+        else:
+            flat.append(t)
+    if const != 0:
+        flat.insert(0, Constant(const))
+    if not flat:
+        return expr.ZERO
+    return flat[0] if len(flat) == 1 else Add(tuple(flat))
+
+
+def _reference_mul(*factors):
+    flat, const = [], Fraction(1)
+    for f in map(expr.as_expr, factors):
+        if isinstance(f, Mul):
+            for a in f.args:
+                if isinstance(a, Constant):
+                    const *= a.value
+                else:
+                    flat.append(a)
+        elif isinstance(f, Constant):
+            const *= f.value
+        else:
+            flat.append(f)
+    if const == 0:
+        return expr.ZERO
+    if const != 1:
+        flat.insert(0, Constant(const))
+    if not flat:
+        return expr.ONE
+    return flat[0] if len(flat) == 1 else Mul(tuple(flat))
+
+
+def _is_zero(e):
+    return isinstance(e, Constant) and e.value == 0
+
+
+def _reference_differentiate(e, name):
+    if isinstance(e, Constant):
+        return expr.ZERO
+    if isinstance(e, Symbol):
+        return expr.ONE if e.name == name else expr.ZERO
+    if isinstance(e, Add):
+        return _reference_add(*[_reference_differentiate(a, name) for a in e.args])
+    if isinstance(e, Mul):
+        terms = []
+        for i, f in enumerate(e.args):
+            df = _reference_differentiate(f, name)
+            if not _is_zero(df):
+                terms.append(_reference_mul(*e.args[:i], df, *e.args[i + 1:]))
+        return _reference_add(*terms)
+    if isinstance(e, Pow):
+        db = _reference_differentiate(e.base, name)
+        if _is_zero(db):
+            return expr.ZERO
+        return _reference_mul(Constant(e.exp), pow_(e.base, e.exp - 1), db)
+    dn, dd = _reference_differentiate(e.num, name), _reference_differentiate(e.den, name)
+    if _is_zero(dd):
+        return div(dn, e.den)
+    return div(sub(_reference_mul(dn, e.den), _reference_mul(e.num, dd)), pow_(e.den, 2))
+
+
+def _reference_substitute(e, mapping):
+    if isinstance(e, Constant):
+        return e
+    if isinstance(e, Symbol):
+        v = mapping.get(e.name)
+        return e if v is None else expr.as_expr(v)
+    if isinstance(e, (Add, Mul)):
+        build = _reference_add if isinstance(e, Add) else _reference_mul
+        return build(*[_reference_substitute(a, mapping) for a in e.args])
+    if isinstance(e, Pow):
+        return pow_(_reference_substitute(e.base, mapping), e.exp)
+    num, den = _reference_substitute(e.num, mapping), _reference_substitute(e.den, mapping)
+    if _is_zero(den):
+        raise ZeroDenominatorError(e.den, "after substitution")
+    return div(num, den)
+
+
+def _key_or_error(fn, *args):
+    try:
+        return fn(*args).key()
+    except ExprError as exc:
+        return type(exc), str(exc)
+
+
+def _constants(e):
+    stack, out = [e], []
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Constant):
+            out.append(n.value)
+        elif isinstance(n, (Add, Mul)):
+            stack.extend(n.args)
+        elif isinstance(n, Pow):
+            stack.append(n.base)
+        elif isinstance(n, Div):
+            stack.extend((n.num, n.den))
+    return out
+
+
+# raw nodes, built without the constructors: constants anywhere in a sum or
+# product, nested sums and products, and zero constants under a quotient
+_raw_leaf = st.one_of(
+    st.sampled_from(["x", "y", "z"]).map(Symbol),
+    st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]).map(Constant),
+)
+_raw_tree = st.recursive(
+    _raw_leaf,
+    lambda sub_trees: st.one_of(
+        st.lists(sub_trees, min_size=2, max_size=4).map(lambda args: Add(tuple(args))),
+        st.lists(sub_trees, min_size=2, max_size=4).map(lambda args: Mul(tuple(args))),
+        st.tuples(sub_trees, st.sampled_from([2, 3, -1])).map(lambda t: Pow(*t)),
+        st.tuples(sub_trees, sub_trees).map(lambda t: Div(*t)),
+    ),
+    max_leaves=10,
+)
+# bound values: ints, Fractions and trees, zero among them
+_bound = st.one_of(st.sampled_from([0, 1, -2, Fraction(1, 3)]), _raw_tree)
+
+
+@given(_raw_tree, _raw_tree, st.sampled_from([0, 3, Fraction(-1, 2)]), st.sampled_from(["x", "y"]),
+       st.dictionaries(st.sampled_from(["x", "y", "z"]), _bound, max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_constructors_and_walks_match_the_references(a, b, c, name, mapping):
+    """add, mul, differentiate and substitute give the keys of the
+    references, or the same error, and every constant they make holds a
+    Fraction."""
+    calls = [(add, a, b), (add, c, a, b, c), (add, a, neg(a)), (mul, a, b), (mul, c, a, b, c),
+             (mul, a, b, a), (differentiate, a, name), (substitute, a, mapping)]
+    references = {add: _reference_add, mul: _reference_mul, differentiate: _reference_differentiate,
+                  substitute: _reference_substitute}
+    got = [_key_or_error(fn, *args) for fn, *args in calls]
+    with mock.patch.object(expr, "add", _reference_add), mock.patch.object(expr, "mul", _reference_mul):
+        want = [_key_or_error(references[fn], *args) for fn, *args in calls]
+    assert got == want
+    for fn, *args in calls:
+        try:
+            out = fn(*args)
+        except ExprError:
+            continue
+        assert all(type(v) is Fraction for v in _constants(out))
+    half = Fraction(1, 2)
+    assert Constant(half).value is half and type(Constant(3).value) is Fraction
+
+
+# ---------------------------------------------------------------------------
 # canonical rational forms
 
 
@@ -450,6 +611,10 @@ def test_heuristic_gcd_keeps_the_content_of_each_image():
 
 def test_gcd_and_exact_division_edge_cases():
     one, x2 = {(0, 0): 1}, {(0, 2): 1}
+    assert expr.p_content({}) == 0
+    assert expr.p_content({(1, 0): -4, (0, 0): -6}) == 2
+    assert expr.p_content({(1, 0): 12, (0, 1): -18, (0, 0): 30}) == 6
+    assert expr.p_content({(1, 1): -7}) == 7
     assert p_gcd({}, {}) == {}
     assert p_gcd({}, {(1, 0): -2}) == {(1, 0): 2}
     assert p_gcd({(0, 0): 4}, {(1, 0): 6, (0, 0): 2}) == {(0, 0): 2}
@@ -508,6 +673,12 @@ def test_sparse_kernel_matches_references(data):
     product = p_mul(a, b)
     assert list(product.items()) == list(_naive_mul(a, b).items())
     assert p_exquo(product, b) == a
+    # a constant operand on either side, which p_mul copies or scales
+    c = {(0,) * n: 1 if data is None else data.draw(st.sampled_from([1, -1, 3, -5]))}
+    for f, g in ((c, a), (a, c), (c, b), (b, c), (c, c)):
+        got = p_mul(f, g)
+        assert list(got.items()) == list(_naive_mul(f, g).items())
+        assert got is not f and got is not g
     syms = sympy.symbols(f"v0:{n}")
     names = [str(v) for v in syms]
 

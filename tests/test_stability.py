@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kccstab import kcc, stability
@@ -478,6 +478,45 @@ def test_dedup_keeps_the_first_seed_of_each_root(chains, monkeypatch, n, draw):
             kept.append(fp)
     assert len(kept) == 3 ** n < len(candidates)
     assert got == in_print_order(kept)
+
+
+def _greedy_first_of_each_root(x):
+    """The duplicate pass compared with every live row: one array
+    comparison per kept row."""
+    kept, alive = [], np.arange(len(x))
+    while len(alive):
+        kept.append(int(alive[0]))
+        alive = alive[1:][np.abs(x[alive[1:]] - x[alive[0]]).max(axis=1) > stability.DEFAULT_DEDUP_RADIUS]
+    return kept
+
+
+@st.composite
+def _root_clouds(draw):
+    """Rows near one base point: grid steps of half the radius (chains one
+    radius apart, rows exactly at the radius, equal x_1), jittered clusters,
+    signed zeros and repeated rows, in a random order."""
+    radius = stability.DEFAULT_DEDUP_RADIUS
+    base = draw(st.sampled_from([0.0, 1.0, -2.5, 1e-7, 3e5]))
+    coordinate = st.one_of(
+        st.integers(-8, 8).map(lambda k: base + k * radius / 2),
+        st.floats(-2 * radius, 2 * radius).map(lambda v: base + v),
+        st.sampled_from([0.0, -0.0]),
+    )
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[coordinate] * d), max_size=40))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
+    return np.array(draw(st.permutations(rows)), dtype=float).reshape(-1, d)
+
+
+@given(_root_clouds())
+@settings(max_examples=300, deadline=None)
+@example(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0 + 1e-6], [-0.0, 1.0 - 1e-6]]))
+@example(np.array([[k * 1e-6, 0.0] for k in (0, 1, 2, 3, 1, 0)]))
+# x_1 differ by the radius after rounding, and by more before it: x_1 - radius
+# rounds above the second row, so a window of one radius would miss it
+@example(np.array([[8.829369919158159e-07], [-1.1706300808418405e-07]]))
+def test_windowed_dedup_equals_the_greedy_pass(x):
+    assert stability._first_of_each_root(x) == _greedy_first_of_each_root(x)
 
 
 def _reference_fixed_points(model, params, box, seeds):
