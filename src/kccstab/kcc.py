@@ -315,8 +315,8 @@ class CompiledModel:
     subtree shared by entries, such as A21 inside P, is computed once.
     Parameter values enter only `rk4`, set by `numerics._rk4_kernel`.  The
     fixed-point search evaluates what `bind` gives through
-    `fixed_point_forms`: numerators with their Jacobian, and denominators,
-    compiled once per monomial support.
+    `fixed_point_forms`: numerators with their Jacobian, and numerators with
+    denominators, compiled once per monomial support.
     """
 
     def __init__(self, model: Model):
@@ -344,14 +344,15 @@ class CompiledModel:
     ) -> tuple[tuple[Callable, tuple[float, ...]], ...]:
         """Evaluators of exact pairs over `xs`, as (function, coefficients).
 
-        Returns two: the numerators then their Jacobian d nums_i / d x_j
-        row-major, under one value numbering, and the denominators;
-        `fn(*point, *coefficients)` gives the values.  Each polynomial is a
-        sum of coefficient argument times position monomial, with the terms
-        in the order `p_to_expr` gives them, so the values are bit-identical
-        to those of `p_to_expr(p, xs)` compiled with its coefficients
-        embedded.  A function is compiled once per tuple of monomial supports
-        and kept; a coefficient beyond the float range is an ExprError.
+        Returns two, each under one value numbering: the numerators then
+        their Jacobian d nums_i / d x_j row-major, and the numerators then
+        the denominators; `fn(*point, *coefficients)` gives the values.
+        Each polynomial is a sum of coefficient argument times position
+        monomial, with the terms in the order `p_to_expr` gives them, so the
+        values, the numerators' in either form, are bit-identical to those
+        of `p_to_expr(p, xs)` compiled with its coefficients embedded.  A
+        function is compiled once per tuple of monomial supports and kept;
+        a coefficient beyond the float range is an ExprError.
         """
         n = self.model.n
         jac = [p_diff(p, j) for p in nums for j in range(n)]
@@ -361,9 +362,9 @@ class CompiledModel:
         coeffs = {k: tuple(to_float(c) for t in terms[k] for _, c in t) for k in (0, 2, 1)}
         key = tuple(tuple(m for m, _ in t) for t in terms[0] + terms[2])
         if key not in self._forms:
-            self._forms[key] = (_sum_of_terms(terms[0] + terms[1], n), _sum_of_terms(terms[2], n))
-        fused, den = self._forms[key]
-        return (fused, coeffs[0] + coeffs[1]), (den, coeffs[2])
+            self._forms[key] = tuple(_sum_of_terms(terms[0] + terms[k], n) for k in (1, 2))
+        with_jacobian, with_dens = self._forms[key]
+        return (with_jacobian, coeffs[0] + coeffs[1]), (with_dens, coeffs[0] + coeffs[2])
 
     def parameter_values(
         self, params: Mapping[str, Fraction | float] | None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -48,6 +49,7 @@ np = lazy_numpy()  # numpy runs on its first numeric use
 DEFAULT_BOX_HALFWIDTH = 10.0
 DEFAULT_SEEDS_PER_AXIS = 9
 DEFAULT_DEDUP_RADIUS = 1e-6
+DEDUP_WINDOW_ROWS = 40  # where the windowed duplicate pass overtakes the greedy one
 DEFAULT_DENOM_MARGIN = 1e-8
 DEFAULT_RESIDUAL_SCALE = 1e-10
 DEFAULT_TOL = 1e-9
@@ -112,7 +114,7 @@ def _normalize_box(box, n: int) -> list[tuple[float, float]]:
     if box is None:
         return [(-DEFAULT_BOX_HALFWIDTH, DEFAULT_BOX_HALFWIDTH)] * n
     box = list(box)
-    if len(box) == 2 and all(isinstance(b, (int, float, Fraction)) for b in box):
+    if len(box) == 2 and all(isinstance(b, numbers.Real) for b in box):
         lo, hi = float(box[0]), float(box[1])
         out = [(lo, hi)] * n
     else:
@@ -134,9 +136,9 @@ def find_fixed_points(
     """All fixed points (y = 0, G(x, 0) = 0) found in the box, sorted.
 
     Newton iteration runs on the cleared numerators from a uniform seed grid,
-    one iteration at a time over every seed still iterating: one compiled
-    call gives the numerators and their Jacobian on arrays, and the steps
-    come from one stacked solve.  Only in an iteration where that solve
+    one iteration at a time over the rows of the seeds still iterating: one
+    compiled call gives the numerators and their Jacobian on arrays, and the
+    steps come from one stacked solve.  Only in an iteration where that solve
     meets a singular Jacobian are the steps solved seed by seed, so a
     singular seed fails alone.  A seed fails on a non-finite value, a
     singular Jacobian or leaving the escape radius, and converges when its
@@ -145,54 +147,58 @@ def find_fixed_points(
     written that involves a position (see `FixedPointSystem.bind`),
     stays above DEFAULT_DENOM_MARGIN in magnitude, and the true residual
     max_i |G_i| is below DEFAULT_RESIDUAL_SCALE * (1 + |x|).  Duplicates
-    within DEFAULT_DEDUP_RADIUS (max-norm) collapse, earlier seeds first, each
-    kept one compared only with a window of the candidates sorted on x_1
+    within DEFAULT_DEDUP_RADIUS (max-norm) collapse, earlier seeds first
     (`_first_of_each_root`); results sort lexicographically.
 
     The pairs and divisor numerators are those `conditions` prints, from
     `model.compiled.fixed_points.bind` at `model.binding(params)`, evaluated
-    by the numerators with their Jacobian, then the denominators and the
-    divisor numerators (`model.compiled.fixed_point_forms`).
+    by the two forms of `model.compiled.fixed_point_forms`: the numerators
+    with their Jacobian at each iteration, then once, on the converged rows,
+    the numerators, the denominators and the divisor numerators.
     """
     n = model.n
     bounds = _normalize_box(box, n)
     nums, dens, divisors = model.compiled.fixed_points.bind(model.binding(params))
     # the divisor numerators are evaluated after the denominators
-    (f_fj, c_fj), (f_den, c_den) = model.compiled.fixed_point_forms(nums, dens + divisors)
+    (f_fj, c_fj), (f_val, c_val) = model.compiled.fixed_point_forms(nums, dens + divisors)
 
     span = max(hi - lo for lo, hi in bounds)
     escape = 10.0 * span + 100.0
     axes = [np.linspace(lo, hi, seeds) for lo, hi in bounds]
     X = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, n)
     converged = np.zeros(len(X), dtype=bool)
-    active = np.arange(len(X))
+    # x holds the rows of the seeds in `active`; X gets a row when it converges
+    active, x = np.arange(len(X)), X.copy()
     with np.errstate(all="ignore"):
         for _ in range(MAX_NEWTON_STEPS):
             if not len(active):
                 break
-            x = X[active]
             FJ = _on_rows(f_fj, x, c_fj)
-            ok = np.isfinite(FJ).all(axis=1)
-            if not ok.all():
+            if not np.isfinite(FJ).all():
+                ok = np.isfinite(FJ).all(axis=1)
                 active, x, FJ = active[ok], x[ok], FJ[ok]
             dx, solved = _newton_steps(FJ[:, n:].reshape(-1, n, n), -FJ[:, :n])
-            if not solved.all():
+            if solved is not None:
                 active, x, dx = active[solved], x[solved], dx[solved]
             x += dx
-            X[active] = x
             size = np.abs(x).max(axis=1)
             escaped = size > escape
-            done = ~escaped & (np.abs(dx).max(axis=1) <= 1e-12 * (1.0 + size))
-            converged[active[done]] = True
-            active = active[~escaped & ~done]
+            small = np.abs(dx).max(axis=1) <= 1e-12 * (1.0 + size)
+            stop = escaped | small
+            if stop.any():
+                done = small & ~escaped
+                X[active[done]] = x[done]
+                converged[active[done]] = True
+                active, x = active[~stop], x[~stop]
 
         x = X[converged]
         lo, hi = np.array(bounds).T
         keep = ((x >= lo - 1e-9) & (x <= hi + 1e-9)).all(axis=1)
-        dvals = np.abs(_on_rows(f_den, x, c_den))
+        vals = _on_rows(f_val, x, c_val)
+        dvals = np.abs(vals[:, n:])
         margin = dvals[:, :n].min(axis=1)
         keep &= dvals.min(axis=1) > DEFAULT_DENOM_MARGIN
-        resid = np.abs(_on_rows(f_fj, x, c_fj)[:, :n] / dvals[:, :n]).max(axis=1)
+        resid = np.abs(vals[:, :n] / dvals[:, :n]).max(axis=1)
         keep &= resid <= DEFAULT_RESIDUAL_SCALE * (1.0 + np.abs(x).max(axis=1))
 
     x, resid, margin = x[keep], resid[keep], margin[keep]
@@ -204,8 +210,15 @@ def find_fixed_points(
 
 def _first_of_each_root(x: np.ndarray) -> list[int]:
     """Indices of the rows of x that no earlier kept row is within DEFAULT_DEDUP_RADIUS
-    of (max-norm), each kept row compared only with the rows whose x_1 is within twice the
+    of (max-norm).  Below DEDUP_WINDOW_ROWS rows each kept row is compared with every
+    live row after it; from there on, only with the rows whose x_1 is within twice the
     radius of its own: a row within the radius is within it in x_1, twice absorbs rounding."""
+    if len(x) < DEDUP_WINDOW_ROWS:
+        kept, alive = [], np.arange(len(x))
+        while len(alive):
+            kept.append(int(alive[0]))
+            alive = alive[1:][np.abs(x[alive[1:]] - x[alive[0]]).max(axis=1) > DEFAULT_DEDUP_RADIUS]
+        return kept
     order = np.argsort(x[:, 0], kind="stable")
     first = x[order, 0]
     lo = np.searchsorted(first, x[:, 0] - 2 * DEFAULT_DEDUP_RADIUS, side="left").tolist()
@@ -235,10 +248,10 @@ def _on_rows(fn, x: np.ndarray, coefficients: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the stack J dx = rhs; returns dx and the mask of solvable rows."""
+def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Solve the stack J dx = rhs; returns dx and the mask of solvable rows (None: all)."""
     try:
-        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), dtype=bool)
+        return np.linalg.solve(J, rhs[..., None])[..., 0], None
     except np.linalg.LinAlgError:
         dx = np.zeros_like(rhs)
         solved = np.ones(len(J), dtype=bool)
@@ -326,9 +339,9 @@ def classify_matrices(
     decisions = per_point([c[m:] for c in [coeffs[-1]] + hurwitz])
     reports = []
     for point, eigvals, c, h, scale, decision in zip(
-        points, np.linalg.eigvals(Ps), raw_coeffs, raw_hurwitz, scales.tolist(), decisions,
+        points, np.linalg.eigvals(Ps).tolist(), raw_coeffs, raw_hurwitz, scales.tolist(), decisions,
     ):
-        eigs = tuple(complex(z) for z in sorted(eigvals, key=lambda z: (-z.real, -z.imag)))
+        eigs = tuple(map(complex, sorted(eigvals, key=lambda z: (-z.real, -z.imag))))
         if scale == 0.0:
             decision, rh, ev = [0.0] * (n + 1), INDETERMINATE, INDETERMINATE
         else:

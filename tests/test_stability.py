@@ -5,6 +5,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -416,6 +417,14 @@ def test_box_filters_results():
     assert max(abs(c - e) for c, e in zip(fps[0].point, (2, 1))) < 1e-8
 
 
+def test_box_bounds_may_be_numpy_numbers():
+    ws = builtin("wound_strings")
+    want = find_fixed_points(ws, WS_PARAMS, box=(-2, 2), seeds=5)
+    for lo, hi in ((np.int64(-2), np.int64(2)), (np.float32(-2), np.float64(2)), (Fraction(-2), 2)):
+        assert find_fixed_points(ws, WS_PARAMS, box=(lo, hi), seeds=5) == want
+        assert stability._normalize_box((lo, hi), 2) == [(-2.0, 2.0)] * 2
+
+
 def test_airfoil_fixed_points_closed_form():
     af = builtin("airfoil")
     fps = find_fixed_points(af, AIRFOIL_PARAMS, box=(-1, 1))
@@ -450,6 +459,15 @@ def test_singular_seeds_fail_alone():
     for (fp, rep), (point, verdict) in zip(pairs, expect):
         assert max(abs(c - w) for c, w in zip(fp.point, point)) < 1e-12
         assert rep.verdict == verdict
+
+
+def test_a_seed_on_a_singular_root_fails():
+    # the seed at x1 = 0 sits on the double root of x1^2, where the Jacobian
+    # is singular: it fails rather than converge with a zero step, and the
+    # root is found from the seed at 1, short of zero
+    m = loads("model dbl\nvars x1\nG1 = x1^2\n")
+    [fp] = find_fixed_points(m, box=(0, 4), seeds=5)
+    assert 0 < fp.point[0] < 1e-11
 
 
 def test_overflowing_seeds_fail_alone():
@@ -516,7 +534,13 @@ def _root_clouds(draw):
 # rounds above the second row, so a window of one radius would miss it
 @example(np.array([[8.829369919158159e-07], [-1.1706300808418405e-07]]))
 def test_windowed_dedup_equals_the_greedy_pass(x):
-    assert stability._first_of_each_root(x) == _greedy_first_of_each_root(x)
+    want = _greedy_first_of_each_root(x)
+    assert stability._first_of_each_root(x) == want
+    # and each pass on every cloud: a cut-over of 0 rows selects the windowed
+    # pass, one of len(x) + 1 rows the greedy pass
+    for rows in (0, len(x) + 1):
+        with mock.patch.object(stability, "DEDUP_WINDOW_ROWS", rows):
+            assert stability._first_of_each_root(x) == want
 
 
 def _reference_fixed_points(model, params, box, seeds):
@@ -631,6 +655,42 @@ def test_fixed_points_match_the_reference_search():
         ], (model.name, params)
 
 
+# Rows that stop after the first Newton iteration, next to rows that converge
+# at different iterations.  ovf2: the seeds at x2 = 2^-15 step to about 16384,
+# inside the escape radius, where 10^300 x2^2 overflows.  sing2: the seeds
+# with x1 x2 = 1 step exactly to (0, 0), where the Jacobian is singular.
+_COMPACTION_CASES = [
+    ("model ovf2\nvars x1 x2\nG1 = x1 - 1\nG2 = (10^300*x2^2 + x2 - 10^300)/(10^300*(1 + x1^2))\n",
+     [(-1, 1), (2 ** -15, 2048 + 2 ** -15)], 5),
+    ("model sing2\nvars x1 x2\nG1 = x1 + x2\nG2 = x1*x2 + 1\n", (-2, 2), 9),
+]
+
+
+@pytest.mark.parametrize("text, box, seeds", _COMPACTION_CASES)
+def test_compacted_newton_matches_the_reference_search(monkeypatch, text, box, seeds):
+    model = loads(text)
+    failed = []  # per evaluation, the rows dropped as non-finite or singular
+    on_rows, steps = stability._on_rows, stability._newton_steps
+
+    def rows(f, x, c):
+        out = on_rows(f, x, c)
+        failed.append(int((~np.isfinite(out).all(axis=1)).sum()))
+        return out
+
+    def solve(J, rhs):
+        dx, solved = steps(J, rhs)
+        failed[-1] += 0 if solved is None else int((~solved).sum())
+        return dx, solved
+
+    monkeypatch.setattr(stability, "_on_rows", rows)
+    monkeypatch.setattr(stability, "_newton_steps", solve)
+    got = find_fixed_points(model, box=box, seeds=seeds)
+    assert failed[1] > 0 and len(failed) > 3
+    assert got and [repr(fp) for fp in got] == [
+        repr(fp) for fp in _reference_fixed_points(model, None, box, seeds)
+    ]
+
+
 def test_points_sort_as_printed():
     # 1.8749999999999998 prints as 1.875, so the second coordinate decides
     a = FixedPoint((1.8749999999999998, 0.625), 0.0, 1.0)
@@ -739,10 +799,10 @@ def test_model_derives_and_compiles_once(monkeypatch):
         params = {"Minf": Fraction(2017 + k, 256), "V": Fraction(83, 4)}
         assert count_stable(af, params, box=(-1, 1), seeds=5) == 2
     assert built == [af]
-    # fixed-point numerators with their 2 x 2 Jacobian, the denominators,
-    # then the state evaluator of the 2 x 2 matrices P, A21 and A22; nothing
-    # is compiled per parameter point
-    assert compiled == [6, 2, 12]
+    # fixed-point numerators with their 2 x 2 Jacobian, the numerators with
+    # the denominators, then the state evaluator of the 2 x 2 matrices P, A21
+    # and A22; nothing is compiled per parameter point
+    assert compiled == [6, 4, 12]
     # the higher invariants are derived once too
     inv = af.compiled.invariants
     for name in ("torsion", "riemann", "douglas"):
@@ -973,7 +1033,7 @@ def test_fixed_point_forms_match_embedded_coefficients(data):
     x = np.array([[data.draw(coordinate) for _ in range(n)] for _ in range(4)])
     forms = m.compiled.fixed_point_forms(nums, dens)
     assert len(forms) == 2
-    for (fn, coefficients), polys in zip(forms, (nums + jac, dens)):
+    for (fn, coefficients), polys in zip(forms, (nums + jac, nums + dens)):
         ref = compile_callable([p_to_expr(p, xs) for p in polys], xs)
         for args in (x.T, x[0].tolist()):
             values, reference = fn(*args, *coefficients), ref(*args)
